@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -130,7 +131,7 @@ def peak_numbers(n: int) -> tuple[int, ...]:
     for j in range(n):
         sign = 1 if j % 2 == 0 else -1
         # only the j-th basis element reaches down to m^(j+1)
-        c = remaining.coefficient(j + 1) * sign / 2
+        c = Fraction(remaining.coefficient(j + 1) * sign, 2)
         if c.denominator != 1 or c < 0:
             raise ConsistencyError(
                 f"expansion coefficient {c} at (n={n}, j={j}) is not a nonnegative integer"

@@ -3,7 +3,8 @@
 Three independent routes to the same quantities:
 
   exact    kappa_{2n} = (-1)^(n-1) (z/2)^(2n) P_{2n-2}(m), where P_{2p} is
-           the binomial self-convolution of reduced Schett evaluations;
+           the binomial self-convolution of reduced Schett evaluations,
+           read off the EGF of the square of the sn solution;
   lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi);
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
@@ -14,14 +15,11 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
-from .exactalg import UniPoly, binomial, schett_reduced
+from .exactalg import UniPoly, _sn_square
 from .numkernel import (
     DEFAULT_DIGITS,
     DomainError,
@@ -78,7 +76,9 @@ def p_poly(p: int) -> UniPoly:
 
     P_{2p} = -m(1-m) * sum_{n=0}^{p-1} C(2p, 2n+1) S_n(m) S_{p-1-n}(m),
     the -m(1-m) factor being the product of the two stripped i*k*k'
-    prefactors.  P_0 is the zero polynomial.
+    prefactors.  The sum is the EGF coefficient [Y^2]_{2p} of the square
+    of the sn solution Y (S_n = Y^(2n+1)(0)), which the exact layer keeps
+    memoized.  P_0 is the zero polynomial.
     """
     if p < 0:
         raise ValueError("index must be >= 0")
@@ -87,11 +87,8 @@ def p_poly(p: int) -> UniPoly:
     cached = _p_memo.get(p)
     if cached is not None:
         return cached
-    acc = UniPoly.zero()
-    for n in range(p):
-        acc = acc + schett_reduced(n) * schett_reduced(p - 1 - n) * binomial(2 * p, 2 * n + 1)
     prefactor = UniPoly.from_ints([0, -1, 1])  # -m(1-m) = m^2 - m
-    result = prefactor * acc
+    result = prefactor * _sn_square(2 * p)
     _p_memo[p] = result
     return result
 
@@ -158,6 +155,8 @@ def cumulant_eisenstein(n: int, ctx: ModulusContext, lattice_cutoff: int) -> Eis
     magnitude below the truncation tail O(cutoff^(2-2n)), which is what the
     returned tail field estimates.
     """
+    import numpy as np  # only this lattice sum needs numpy; keep it off the CLI import
+
     if n < 2:
         raise DomainError("lattice-sum cumulants require n >= 2")
     if lattice_cutoff < 1:

@@ -1,10 +1,17 @@
-"""Exact algebra: big rationals, univariate polynomials, and sparse
-trivariate integer polynomials driven by a differential recurrence.
+"""Exact algebra: integer polynomials in m and the sn-ODE recurrence.
 
-All exact data downstream of this module lives in Q[m], where m stands for
-the squared elliptic parameter.  Trivariate polynomials exist only to run
-the Schett recurrence X_n = (yz d/dx + zx d/dy + xy d/dz) X_{n-1}; their
-odd-index evaluations on the slice (0, k, i*k') collapse back into Z[m].
+Every exact quantity downstream of this module lives in Z[m], where m is
+the squared elliptic parameter.  UniPoly stores Python ints and keeps a
+Fraction only for a coefficient that is not integral, so rationals enter
+only at evaluation points such as m = 1/p.
+
+The reduced Schett polynomials S_n(m) are read off the sn equation: on the
+slice (0, k, i*k') the Schett flow x' = yz, y' = zx, z' = xy collapses, for
+Y = x/(i k k'), to  Y'' = (2m-1) Y - 2m(1-m) Y^3  with Y(0) = 0, Y'(0) = 1
+(DLMF 22.13), and S_n = Y^(2n+1)(0).  The Taylor recurrence runs on the
+exponential-generating-function coefficients of Y, Y^2 and Y^3.  The
+trivariate operator route is kept in the test suite as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -12,47 +19,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
-    "BigRat",
     "ConsistencyError",
     "UniPoly",
-    "TriPoly",
     "binomial",
-    "schett_raw",
     "schett_reduced",
-    "unipoly_add",
-    "unipoly_mul",
-    "unipoly_scale",
-    "unipoly_evaluate",
-    "compose_affine",
 ]
-
-# Exact rational scalar type.  fractions.Fraction already guarantees the
-# invariants required here: always reduced, denominator positive, exact
-# field operations on arbitrary-size integers.
-BigRat = Fraction
 
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; this signals a pipeline bug."""
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _normalize(c) -> "int | Fraction":
+    """An int for every integral value, a reduced Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _trim(coeffs: list) -> list:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
-    return coeffs[:end]
+    del coeffs[end:]
+    return coeffs
+
+
+def _add(a: list, b: list) -> list:
+    """Sum of two ascending coefficient lists, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return _trim(out)
+
+
+def _mul(a: list, b: list) -> list:
+    """Product of two ascending coefficient lists (schoolbook)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
 
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Univariate polynomial in m with exact rational coefficients.
+    """Univariate polynomial in m with exact coefficients.
 
-    Coefficients are ascending in powers of m with no trailing zeros, so
-    equal polynomials have identical representations.  The zero polynomial
-    has an empty coefficient tuple and degree -1 (the sentinel).
+    Coefficients are ascending in powers of m with no trailing zeros.  Each
+    is a Python int when integral and a Fraction only otherwise, so equal
+    polynomials have identical representations.  The zero polynomial has
+    an empty coefficient tuple and degree -1 (the sentinel).
 
     >>> p = UniPoly.from_ints([0, 2, -2])   # 2m - 2m^2
     >>> p.evaluate(Fraction(1, 2))
@@ -61,10 +87,10 @@ class UniPoly:
     '-2*m^2 + 2*m'
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
-        normalized = _trim(tuple(Fraction(c) for c in self.coeffs))
+        normalized = tuple(_trim([_normalize(c) for c in self.coeffs]))
         object.__setattr__(self, "coeffs", normalized)
 
     @staticmethod
@@ -73,16 +99,16 @@ class UniPoly:
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly((Fraction(1),))
+        return UniPoly((1,))
 
     @staticmethod
     def variable() -> "UniPoly":
         """The monomial m."""
-        return UniPoly((Fraction(0), Fraction(1)))
+        return UniPoly((0, 1))
 
     @classmethod
     def from_ints(cls, ints: Iterable[int]) -> "UniPoly":
-        return cls(tuple(Fraction(i) for i in ints))
+        return cls(tuple(ints))
 
     @property
     def degree(self) -> int:
@@ -91,20 +117,16 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> "int | Fraction":
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "UniPoly | int | Fraction") -> "UniPoly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        return UniPoly(_add(self.coeffs, _as_poly(other).coeffs))
 
     __radd__ = __add__
 
@@ -119,15 +141,7 @@ class UniPoly:
             return UniPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(tuple(out))
+        return UniPoly(_mul(self.coeffs, other.coeffs))
 
     def __rmul__(self, other: "int | Fraction") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
@@ -144,7 +158,7 @@ class UniPoly:
 
     def evaluate(self, x):
         """Horner evaluation; exact for Fraction x, works for any ring
-        element supporting + and * with Fraction coefficients."""
+        element supporting + and * with int and Fraction coefficients."""
         result = 0
         for c in reversed(self.coeffs):
             result = result * x + c
@@ -152,14 +166,14 @@ class UniPoly:
 
     def compose_affine(self, alpha, beta) -> "UniPoly":
         """Return p(alpha*m + beta) as an exact polynomial."""
-        inner = UniPoly((Fraction(beta), Fraction(alpha)))
+        inner = UniPoly((beta, alpha))
         result = UniPoly.zero()
         for c in reversed(self.coeffs):
-            result = result * inner + UniPoly((Fraction(c),))
+            result = result * inner + c
         return result
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def divisible_by_m_one_minus_m(self) -> bool:
         """True iff m(1-m) divides the polynomial.
@@ -169,7 +183,7 @@ class UniPoly:
         """
         if not self.coeffs:
             return True
-        return self.evaluate(Fraction(0)) == 0 and self.evaluate(Fraction(1)) == 0
+        return self.evaluate(0) == 0 and self.evaluate(1) == 0
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -200,172 +214,61 @@ def _as_poly(value: "UniPoly | int | Fraction") -> UniPoly:
     if isinstance(value, UniPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return UniPoly((Fraction(value),))
+        return UniPoly((value,))
     raise TypeError(f"cannot coerce {type(value).__name__} to UniPoly")
 
 
-def unipoly_add(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p + q
+# Exponential-generating-function coefficients of the sn solution Y and of
+# Y^2 and Y^3, as ascending integer coefficient lists in m: _SN_Y[j] is
+# Y^(j)(0).  Invariant: len(_SN_Y) == len(_SN_Y3) + 2 == len(_SN_Y2) + 2.
+_SN_Y: list[list[int]] = [[], [1]]
+_SN_Y2: list[list[int]] = []
+_SN_Y3: list[list[int]] = []
 
 
-def unipoly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
-    return p * q
+def _egf_product(f: list[list[int]], g: list[list[int]], j: int) -> list[int]:
+    """Coefficient j of the EGF product: sum_i C(j, i) f_i g_{j-i}."""
+    out: list[int] = []
+    square = f is g  # pair the terms i and j - i
+    for i in range(j // 2 + 1 if square else j + 1):
+        a, b = f[i], g[j - i]
+        if a and b:
+            weight = math.comb(j, i) * (2 if square and 2 * i != j else 1)
+            out = _add(out, _mul([weight * x for x in a], b))
+    return out
 
 
-def unipoly_scale(p: UniPoly, s: "int | Fraction") -> UniPoly:
-    return p * Fraction(s)
+def _sn_grow(count: int) -> None:
+    """Extend the EGF tables until [Y^2] and [Y^3] hold count entries, and
+    Y count + 2, by a_{t+2} = (2m-1) a_t - 2m(1-m) [Y^3]_t."""
+    y, y2, y3 = _SN_Y, _SN_Y2, _SN_Y3
+    while len(y3) < count:
+        t = len(y3)
+        y2.append(_egf_product(y, y, t))
+        y3.append(_egf_product(y, y2, t))
+        y.append(_add(_mul([-1, 2], y[t]), _mul([0, -2, 2], y3[t])))
 
 
-def unipoly_evaluate(p: UniPoly, x):
-    return p.evaluate(x)
-
-
-def compose_affine(p: UniPoly, alpha, beta) -> UniPoly:
-    return p.compose_affine(alpha, beta)
-
-
-Exponents = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class TriPoly:
-    """Sparse trivariate integer polynomial in (x, y, z).
-
-    Terms are a canonically sorted tuple of ((a, b, c), coefficient) pairs
-    for monomials x^a y^b z^c; no zero coefficients are stored.
-    """
-
-    terms: tuple[tuple[Exponents, int], ...]
-
-    @staticmethod
-    def from_dict(d: dict[Exponents, int]) -> "TriPoly":
-        return TriPoly(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "TriPoly":
-        return TriPoly(())
-
-    def as_dict(self) -> dict[Exponents, int]:
-        return dict(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "TriPoly") -> "TriPoly":
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return TriPoly.from_dict(out)
-
-    def __neg__(self) -> "TriPoly":
-        return TriPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "TriPoly") -> "TriPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TriPoly | int") -> "TriPoly":
-        if isinstance(other, int):
-            return TriPoly(tuple((e, c * other) for e, c in self.terms)) if other else TriPoly.zero()
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        out: dict[Exponents, int] = {}
-        for (a1, b1, c1), u in self.terms:
-            for (a2, b2, c2), v in other.terms:
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = out.get(key, 0) + u * v
-        return TriPoly.from_dict(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, var: int) -> "TriPoly":
-        """Exact partial derivative; var is 0 for x, 1 for y, 2 for z."""
-        if var not in (0, 1, 2):
-            raise ValueError("var must be 0, 1 or 2")
-        out: dict[Exponents, int] = {}
-        for exps, c in self.terms:
-            n = exps[var]
-            if n == 0:
-                continue
-            shifted = list(exps)
-            shifted[var] = n - 1
-            key = (shifted[0], shifted[1], shifted[2])
-            out[key] = out.get(key, 0) + c * n
-        return TriPoly.from_dict(out)
-
-    def total_degrees(self) -> set[int]:
-        return {a + b + c for (a, b, c), _ in self.terms}
-
-    def monomials(self) -> Iterator[tuple[Exponents, int]]:
-        return iter(self.terms)
-
-
-def _schett_step(poly: TriPoly) -> TriPoly:
-    """Apply the operator yz d/dx + zx d/dy + xy d/dz."""
-    out: dict[Exponents, int] = {}
-    for (a, b, c), coef in poly.terms:
-        if a:
-            key = (a - 1, b + 1, c + 1)
-            out[key] = out.get(key, 0) + coef * a
-        if b:
-            key = (a + 1, b - 1, c + 1)
-            out[key] = out.get(key, 0) + coef * b
-        if c:
-            key = (a + 1, b + 1, c - 1)
-            out[key] = out.get(key, 0) + coef * c
-    return TriPoly.from_dict(out)
-
-
-_schett_memo: list[TriPoly] = [TriPoly.from_dict({(1, 0, 0): 1})]
-
-
-def schett_raw(n: int) -> TriPoly:
-    """The n-th Schett polynomial X_n(x, y, z), exact integer coefficients.
-
-    X_0 = x and X_n is obtained from X_{n-1} by one application of the
-    differential operator above.  Values are memoized.
-    """
-    if n < 0:
-        raise ValueError("schett index must be >= 0")
-    while len(_schett_memo) <= n:
-        _schett_memo.append(_schett_step(_schett_memo[-1]))
-    return _schett_memo[n]
-
-
-_reduced_memo: dict[int, UniPoly] = {}
+def _sn_square(j: int) -> UniPoly:
+    """[Y^2]_j, the j-th EGF coefficient of the square of the sn solution."""
+    _sn_grow(j + 1)
+    return UniPoly(tuple(_SN_Y2[j]))
 
 
 def schett_reduced(n: int) -> UniPoly:
     """The polynomial S_n(m) defined by X_{2n+1}(0, k, i*k') = i*k*k'*S_n(m).
 
-    Substitutes x = 0, y = k, z = i*k' into X_{2n+1}, reduces even powers
-    of k' through k'^2 = 1 - m, and strips exactly one factor i*k*k'.  The
-    recurrence forces every surviving monomial to have odd y and z degrees;
-    anything else raises ConsistencyError.
+    X_n is the n-th Schett polynomial; on the slice it equals the n-th
+    derivative at 0 of the solution of the sn equation, so
+    S_n = Y^(2n+1)(0), read off the memoized Taylor recurrence.  S_n must
+    come out of degree n; anything else raises ConsistencyError.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    cached = _reduced_memo.get(n)
-    if cached is not None:
-        return cached
-    raw = schett_raw(2 * n + 1)
-    total = UniPoly.zero()
-    for (a, b, c), coef in raw.terms:
-        if a != 0:
-            continue  # killed by x = 0
-        if b % 2 == 0 or c % 2 == 0:
-            raise ConsistencyError(
-                f"X_{2 * n + 1} has an x-free monomial y^{b} z^{c} with even degree"
-            )
-        # y^b z^c -> k^b (i k')^c = i * k * k' * (-1)^((c-1)/2) * m^((b-1)/2) (1-m)^((c-1)/2)
-        j = (c - 1) // 2
-        sign = -1 if j % 2 else 1
-        term = UniPoly.from_ints([1, -1]) ** j  # (1 - m)^j
-        shift = (b - 1) // 2
-        shifted = UniPoly(tuple(Fraction(0) for _ in range(shift)) + tuple(term.coeffs))
-        total = total + shifted * (coef * sign)
-    if total.degree != n or not total.is_integral():
+    _sn_grow(2 * n)
+    total = UniPoly(tuple(_SN_Y[2 * n + 1]))
+    if total.degree != n:
         raise ConsistencyError(f"S_{n} has unexpected shape: {total}")
-    _reduced_memo[n] = total
     return total
 
 

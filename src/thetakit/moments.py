@@ -59,29 +59,44 @@ def _graded_cumulant(order: int) -> UniPoly:
     return cumulant_poly(order // 2).coefficient
 
 
+def _next_moment(kappa: list, mu: list) -> None:
+    """Append mu_n for n = len(mu) by the complete Bell recursion
+    mu_n = kappa_n + sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m},
+    skipping the zero cumulants."""
+    n = len(mu)
+    acc = kappa[n]
+    for m in range(1, n):
+        if not _is_zero(kappa[m]):
+            acc = acc + kappa[m] * mu[n - m] * binomial(n - 1, m - 1)
+    mu.append(acc)
+
+
+# The exact grade of the Bell recursion, grown on demand and shared by
+# bell_moments and moments_from_cumulants: graded cumulants and moments of
+# orders 0, 1, 2, ...
+_KAPPA: list[UniPoly] = [UniPoly.zero()]
+_MU: list[UniPoly] = [UniPoly.one()]
+
+
+def _exact_moments(top: int) -> list[UniPoly]:
+    """The shared table of graded moments, grown to cover orders 0..top
+    (it may hold more); odd orders must vanish."""
+    while len(_MU) <= top:
+        _KAPPA.append(_graded_cumulant(len(_KAPPA)))
+        _next_moment(_KAPPA, _MU)
+        if len(_MU) % 2 == 0 and _MU[-1]:
+            raise ConsistencyError(f"odd-order graded moment B_{len(_MU) - 1} is nonzero")
+    return _MU
+
+
 def bell_moments(N: int) -> list[MomentPoly]:
     """Moment polynomials R_{2n} for n = 0..N via the complete Bell
     recursion B_{j+1} = sum_i C(j, i) c_{i+1} B_{j-i}, B_0 = 1, run on the
     graded cumulant coefficients."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    top = 2 * N
-    kappa = [UniPoly.zero()] * (top + 1)
-    for order in range(1, top + 1):
-        kappa[order] = _graded_cumulant(order)
-    bell = [UniPoly.one()]
-    for j in range(top):
-        nxt = UniPoly.zero()
-        for i in range(j + 1):
-            c = kappa[i + 1]
-            if not c:
-                continue
-            nxt = nxt + c * bell[j - i] * binomial(j, i)
-        bell.append(nxt)
-    for j in range(1, top + 1, 2):
-        if bell[j]:
-            raise ConsistencyError(f"odd-order graded moment B_{j} is nonzero")
-    return [MomentPoly(n=n, R=bell[2 * n]) for n in range(N + 1)]
+    mu = _exact_moments(2 * N)
+    return [MomentPoly(n=n, R=mu[2 * n]) for n in range(N + 1)]
 
 
 def d_sequence(N: int) -> list[int]:
@@ -264,24 +279,19 @@ def moments_from_cumulants(N: int, ctx: ModulusContext | None = None) -> list:
     mu_n = kappa_n + sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m}.
 
     Without a context the computation is exact (grade coefficients in Z[m],
-    order-2 cumulant excluded); the even entries reproduce bell_moments.
-    With a context the cumulants are numeric and include the variance, so
-    the result matches the direct theta-weighted series.
+    order-2 cumulant excluded) and served from the table behind
+    bell_moments.  With a context the cumulants are numeric and include the
+    variance, so the result matches the direct theta-weighted series.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     top = 2 * N
     if ctx is None:
-        kappa = [UniPoly.zero()] + [_graded_cumulant(order) for order in range(1, top + 1)]
-        mu: list = [UniPoly.one()]
-    else:
-        kappa = [hpf(0, ctx.digits)] + [cumulant_value(order, ctx) for order in range(1, top + 1)]
-        mu = [hpf(1, ctx.digits)]
-    for order in range(1, top + 1):
-        acc = kappa[order]
-        for m in range(1, order):
-            acc = acc + kappa[m] * mu[order - m] * binomial(order - 1, m - 1)
-        mu.append(acc)
+        return _exact_moments(top)[: top + 1]
+    kappa = [hpf(0, ctx.digits)] + [cumulant_value(order, ctx) for order in range(1, top + 1)]
+    mu = [hpf(1, ctx.digits)]
+    while len(mu) <= top:
+        _next_moment(kappa, mu)
     return mu
 
 

@@ -243,3 +243,12 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout == "d(1) = 1\n"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy serves only the lattice-sum cumulant, which no command runs
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, thetakit.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"

@@ -98,6 +98,10 @@ class TestPeakNumbers:
         proj = 2 * sum((-1) ** j * c for j, c in enumerate(peak_numbers(n)))
         assert proj == q_value(n + 1)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_entries_are_ints(self, n):
+        assert all(type(c) is int for c in peak_numbers(n))
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             peak_numbers(0)

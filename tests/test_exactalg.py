@@ -1,5 +1,6 @@
-"""Exact layer: rational polynomial arithmetic, the trivariate operator
-recurrence, and validated binomials."""
+"""Exact layer: integer polynomial arithmetic, the sn-ODE route to S_n
+checked against the trivariate operator recurrence, and validated
+binomials."""
 
 import math
 from fractions import Fraction
@@ -8,14 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetakit.exactalg import (
-    ConsistencyError,
-    TriPoly,
-    UniPoly,
-    binomial,
-    schett_raw,
-    schett_reduced,
-)
+from thetakit.cumulants import p_poly
+from thetakit.exactalg import UniPoly, binomial, schett_reduced
+from thetakit.moments import bell_moments
+
+from schett_oracle import TriPoly, schett_raw, schett_slice
 
 fractions = st.fractions(max_denominator=50)
 small_polys = st.lists(fractions, min_size=0, max_size=6).map(
@@ -48,6 +46,12 @@ class TestUniPolyBasics:
         assert str(UniPoly.variable()) == "m"
         assert str(UniPoly((Fraction(1, 2), Fraction(-3, 4)))) == "-(3/4)*m + (1/2)"
         assert str(UniPoly.from_ints([-1, 0, 1])) == "m^2 - 1"
+
+    def test_integral_coefficients_are_ints(self):
+        p = UniPoly((Fraction(4, 2), Fraction(1, 3), 5))
+        assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+        assert all(type(c) is int for c in (p * 3).coeffs)
+        assert all(type(c) is int for c in (UniPoly((Fraction(1, 2),)) * 2).coeffs)
 
     def test_integrality_predicates(self):
         assert UniPoly.from_ints([0, 2, -2]).is_integral()
@@ -121,6 +125,10 @@ class TestSchett:
     def test_reduced_is_integral(self, n):
         assert schett_reduced(n).is_integral()
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_reduced_matches_trivariate_oracle(self, n):
+        assert schett_reduced(n) == schett_slice(n)
+
     def test_reduced_self_dual_alternation(self):
         # S_n(1-m) = (-1)^n S_n(m): substitution m -> 1-m flips the sign
         for n in range(9):
@@ -156,3 +164,13 @@ class TestBinomial:
             binomial(-1, 0)
         with pytest.raises(ValueError):
             binomial(3, 5)
+
+
+class TestIntegerCoefficients:
+    """The exact pipeline stays in Z[m]: no Fraction or float creeps in."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_s_p_r_coefficients_are_ints(self, n):
+        polys = [schett_reduced(n), p_poly(n), bell_moments(n)[n].R]
+        for poly in polys:
+            assert all(type(c) is int for c in poly.coeffs), poly

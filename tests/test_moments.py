@@ -144,12 +144,25 @@ def _reference_moments(kappas: list) -> list:
 
 class TestMomentRoutes:
     def test_exact_recurrence_matches_bell(self):
-        mu = moments_from_cumulants(6)
-        bell = bell_moments(6)
-        for n in range(7):
-            assert mu[2 * n] == bell[n].R
-        for j in range(1, 13, 2):
-            assert mu[j] == UniPoly.zero()
+        # bell_moments and the exact recurrence share one table, so check
+        # it against the determinant and partition routes instead
+        orders = 12
+        kappas = [
+            UniPoly.zero() if (o % 2 or o == 2) else cumulant_poly(o // 2).coefficient
+            for o in range(1, orders + 1)
+        ]
+        bell = bell_moments(orders // 2)
+        for n in range(1, orders // 2 + 1):
+            assert moments_determinant(2 * n, kappas) == bell[n].R
+            assert moments_partition(2 * n, kappas) == bell[n].R
+        for j in range(1, orders + 1, 2):
+            assert moments_determinant(j, kappas) == UniPoly.zero()
+            assert moments_partition(j, kappas) == UniPoly.zero()
+
+    def test_smaller_orders_are_prefixes(self):
+        full = moments_from_cumulants(6)
+        assert moments_from_cumulants(2) == full[:5]
+        assert [m.R for m in bell_moments(2)] == full[0:5:2]
 
     def test_determinant_and_partition_match_graded(self):
         orders = 12
