@@ -30,7 +30,7 @@ from .cumulants import p_poly
 from .exactalg import ConsistencyError, schett_reduced
 from .moments import bell_moments, conjecture_check, d_sequence, q_from_a, q_value
 from .numkernel import DEFAULT_DIGITS, DomainError
-from .verify import DEFAULT_KS, LEMNISCATIC_TOKEN, default_grid, parse_modulus, run_suite
+from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, cells_for, parse_modulus, run_suite
 
 __all__ = ["build_parser", "main"]
 
@@ -64,13 +64,14 @@ def _emit(args, text: str, payload, csv_header: list[str], csv_rows: list[list])
         sys.stdout.write(out)
 
 
-def _validate_modulus_token(token: str) -> str | None:
-    """None if token parses to a modulus in (0,1), else an error message."""
+def _validate_modulus_token(token: str, digits: int) -> str | None:
+    """None if token parses to a modulus in (0,1) at the given precision,
+    else an error message."""
     try:
-        k = parse_modulus(token, 20)
+        k = parse_modulus(token, digits)
     except (ValueError, DomainError):
         return f"modulus {token!r} is not a decimal number or '1/sqrt2'"
-    if not (0 < float(k) < 1):
+    if not (0 < k.value < 1):
         return f"modulus {token} is outside the open interval (0, 1)"
     return None
 
@@ -159,24 +160,14 @@ def _cmd_polys(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_cells(which: str, nmax: int, ks: tuple[str, ...]) -> list:
-    cells: list = []
-    if which == "all":
-        cells = default_grid(nmax, ks)
-        cells.append(("phi_consistency", None, LEMNISCATIC_TOKEN))
-        for k in ks:
-            for n in range(min(nmax, 4) + 1):
-                cells.append(("dual_moment_relation", n, k))
-    elif which == "theorem1":
-        cells = [("theorem1", n, k) for k in ks for n in range(nmax + 1)]
-    elif which == "theorem3":
-        cells = [("theorem3", n, k) for k in ks for n in range(nmax + 1)]
-    elif which == "romik":
-        cells = [("romik_eq11", n, LEMNISCATIC_TOKEN) for n in range(nmax + 1)]
-    else:  # symmetry
-        cells = [("variance_symmetry", None, k) for k in ks]
-        cells += [("dual_moment_relation", n, k) for k in ks for n in range(min(nmax, 4) + 1)]
-    return cells
+# The identities each verify subcommand runs, in report order.
+_VERIFY_SUITES = {
+    "all": (*DEFAULT_IDENTITIES, "phi_consistency", "dual_moment_relation"),
+    "theorem1": ("theorem1",),
+    "theorem3": ("theorem3",),
+    "romik": ("romik_eq11",),
+    "symmetry": ("variance_symmetry", "dual_moment_relation"),
+}
 
 
 def _cmd_verify(args) -> int:
@@ -185,13 +176,13 @@ def _cmd_verify(args) -> int:
     if args.nmax < 0:
         return _fail_usage("--nmax must be >= 0")
     if args.k is not None:
-        problem = _validate_modulus_token(args.k)
+        problem = _validate_modulus_token(args.k, args.digits)
         if problem:
             return _fail_usage(problem)
         ks: tuple[str, ...] = (args.k,)
     else:
         ks = DEFAULT_KS
-    reports = run_suite(_verify_cells(args.which, args.nmax, ks), args.digits)
+    reports = run_suite(cells_for(_VERIFY_SUITES[args.which], args.nmax, ks), args.digits)
     lines = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     pol.add_argument("--nmax", type=int, default=6)
 
     ver = sub.add_parser("verify", parents=[common], help="run numeric identity suites")
-    ver.add_argument("which", choices=["all", "theorem1", "theorem3", "romik", "symmetry"])
+    ver.add_argument("which", choices=list(_VERIFY_SUITES))
     ver.add_argument("--k", default=None, help="modulus: decimal in (0,1) or '1/sqrt2'")
     ver.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     ver.add_argument("--nmax", type=int, default=8)

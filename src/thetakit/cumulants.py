@@ -21,6 +21,7 @@ from mpmath import mp
 
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
+    _GUARD,
     DEFAULT_DIGITS,
     DomainError,
     HPFloat,
@@ -40,8 +41,6 @@ __all__ = [
     "symmetry_check_P",
     "cumulant_symmetry_residual",
 ]
-
-_GUARD = 10
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Arbitrary-precision numeric kernel.
 
 Provides the HPFloat scalar (an immutable wrapper around an mpmath value
-carrying its decimal working precision), AGM-based complete elliptic
-integrals, the nome, theta series with explicit tail bounds, Hermite
-polynomial evaluation, and the per-modulus ModulusContext bundle.
+carrying its decimal working precision), the AGM and the complete elliptic
+integrals built on it, the nome, theta series with explicit tail bounds,
+Hermite polynomial evaluation, and the per-modulus ModulusContext bundle.
 
-Every primitive runs with guard digits so that its relative error stays
-below 10^(2 - digits); all values are immutable and safe to share.
+K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
+sum.  ``theta0`` is ``theta`` at zero argument.
+
+Every primitive runs with ``_GUARD`` extra digits (the one definition, which
+the other modules import) so that its relative error stays below
+10^(2 - digits); all values are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -27,14 +31,12 @@ __all__ = [
     "pow10",
     "agm",
     "ellipK",
-    "ellipK_series",
     "ellipE",
     "make_context",
     "lemniscatic_context",
     "theta",
     "theta0",
     "theta3_product",
-    "jacobi_transform_residual",
     "hermite",
     "gamma_quarter",
 ]
@@ -250,32 +252,7 @@ def ellipK(k: HPFloat) -> HPFloat:
     """Complete elliptic integral of the first kind via pi/(2*agm(1, k'))."""
     _require_modulus(k)
     digits = k.digits
-    with mp.workdps(digits + _GUARD):
-        kp = mp.sqrt(1 - k.value * k.value)
-        eps = mp.mpf(10) ** (1 - digits)
-        x, y = mp.mpf(1), kp
-        while abs(x - y) >= eps * x:
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-        return HPFloat(mp.pi / (2 * x), digits)
-
-
-def ellipK_series(k: HPFloat) -> HPFloat:
-    """Slow cross-check for ellipK: the hypergeometric series
-    (pi/2) * sum_n ((1/2)_n / n!)^2 m^n with m = k^2."""
-    _require_modulus(k)
-    digits = k.digits
-    with mp.workdps(digits + _GUARD):
-        m = k.value * k.value
-        threshold = mp.mpf(10) ** (-digits - 5) * (1 - m)
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        n = 0
-        while term >= threshold:
-            ratio = ((n + mp.mpf(1) / 2) / (n + 1)) ** 2 * m
-            term = term * ratio
-            total += term
-            n += 1
-        return HPFloat(mp.pi / 2 * total, digits)
+    return pi(digits) / (2 * agm(1, (1 - k * k).sqrt(), digits))
 
 
 def ellipE(k: HPFloat) -> HPFloat:
@@ -361,29 +338,7 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
 
 def theta0(i: int, q: HPFloat) -> HPFloat:
     """theta_i(0, q).  theta1 vanishes identically at 0."""
-    _require_nome(q)
-    digits = q.digits
-    cutoff = _theta_cutoff(q.value, digits)
-    with mp.workdps(digits + _GUARD):
-        qv = +q.value
-        if i == 1:
-            return HPFloat(mp.mpf(0), digits)
-        if i == 2:
-            total = mp.mpf(0)
-            for n in range(cutoff + 1):
-                total += qv ** ((n + mp.mpf(1) / 2) ** 2)
-            return HPFloat(2 * total, digits)
-        if i == 3:
-            total = mp.mpf(1)
-            for n in range(1, cutoff + 1):
-                total += 2 * qv ** (n * n)
-            return HPFloat(total, digits)
-        if i == 4:
-            total = mp.mpf(1)
-            for n in range(1, cutoff + 1):
-                total += 2 * (-1 if n % 2 else 1) * qv ** (n * n)
-            return HPFloat(total, digits)
-    raise DomainError("theta index must be 1, 2, 3 or 4")
+    return theta(i, 0, q)
 
 
 def theta3_product(q: HPFloat) -> HPFloat:
@@ -404,21 +359,6 @@ def theta3_product(q: HPFloat) -> HPFloat:
                 break
             p += 1
         return HPFloat(total, digits)
-
-
-def jacobi_transform_residual(c: Scalar, digits: int = DEFAULT_DIGITS) -> HPFloat:
-    """|theta3(e^(-pi/c)) - sqrt(c) * theta3(e^(-pi*c))|, which the modular
-    transformation makes zero up to truncation error."""
-    c_h = c if isinstance(c, HPFloat) else hpf(c, digits)
-    if c_h.value <= 0:
-        raise DomainError("transformation parameter must be positive")
-    digits = c_h.digits
-    pi_h = pi(digits)
-    q_left = (-(pi_h / c_h)).exp()
-    q_right = (-(pi_h * c_h)).exp()
-    lhs = theta0(3, q_left)
-    rhs = c_h.sqrt() * theta0(3, q_right)
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +386,9 @@ def hermite(n: int, x):
 def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
     """Gamma(1/4) obtained from the lemniscatic AGM only:
     K(1/sqrt2) = pi/(2*agm(1, 1/sqrt2)) and Gamma(1/4) = sqrt(4*sqrt(pi)*K)."""
-    with mp.workdps(digits + _GUARD):
-        eps = mp.mpf(10) ** (1 - digits)
-        x, y = mp.mpf(1), mp.sqrt(mp.mpf(1) / 2)
-        while abs(x - y) >= eps * x:
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-        bigk = mp.pi / (2 * x)
-        return HPFloat(mp.sqrt(4 * mp.sqrt(mp.pi) * bigk), digits)
+    pi_h = pi(digits)
+    bigk = pi_h / (2 * agm(1, hpf(Fraction(1, 2), digits).sqrt(), digits))
+    return (4 * pi_h.sqrt() * bigk).sqrt()
 
 
 # ---------------------------------------------------------------------------

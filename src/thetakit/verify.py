@@ -6,6 +6,10 @@ lemniscatic special case, the dual-modulus variance and moment relations,
 and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
+Both ground-truth series share one truncated theta-weighted sum, and one
+table, ``IDENTITIES``, gives each identity its orders, moduli and runner:
+``run_suite`` dispatches through it and ``cells_for`` builds grids from it.
+
 Residuals are reported relative to max(1, |rhs|) because moments grow
 super-exponentially with the order; the default tolerance 10^(8-digits)
 budgets series truncation plus accumulation.
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from mpmath import mp
 
@@ -24,6 +28,7 @@ from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
 from .numkernel import (
+    _GUARD,
     DEFAULT_DIGITS,
     DomainError,
     HPFloat,
@@ -31,7 +36,6 @@ from .numkernel import (
     gamma_quarter,
     hermite,
     hpf,
-    jacobi_transform_residual,
     make_context,
     pi,
     pow10,
@@ -50,13 +54,13 @@ __all__ = [
     "verify_legendre",
     "verify_dual_moment_relation",
     "verify_phi_consistency",
+    "IDENTITIES",
+    "cells_for",
     "default_grid",
     "run_suite",
     "parse_modulus",
     "suite_tolerance",
 ]
-
-_GUARD = 10
 
 LEMNISCATIC_TOKEN = "1/sqrt2"
 
@@ -131,44 +135,32 @@ def _report(identity: str, n: int | None, k_token: str, digits: int,
 # ---------------------------------------------------------------------------
 
 
+def _weighted_series(weight: Callable[[int], object], ctx: ModulusContext) -> HPFloat:
+    """(w(0) + 2 sum_{p>=1} w(p) q^(p^2)) / theta3(q) for an even weight w
+    returning raw mpf values, stopped once two consecutive terms fall below
+    10^(-digits-5)."""
+    digits = ctx.digits
+    with mp.workdps(digits + _GUARD):
+        q = +ctx.q.value
+        threshold = mp.mpf(10) ** (-digits - 5)
+        total = weight(0)
+        below = 0
+        p = 1
+        while below < 2:
+            term = weight(p) * q ** (p * p)
+            total += 2 * term
+            below = below + 1 if abs(term) < threshold else 0
+            p += 1
+        norm = +theta0(3, ctx.q).value
+        return HPFloat(total / norm, digits)
+
+
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
     """Moment of order 2n by direct summation of the weighted series
     sum_p p^(2n) q^(p^2) normalized by theta3(q)."""
     if n < 0:
         raise DomainError("moment index must be >= 0")
-    digits = ctx.digits
-    with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        threshold = mp.mpf(10) ** (-digits - 5)
-        total = mp.mpf(1) if n == 0 else mp.mpf(0)  # p = 0 term
-        below = 0
-        p = 1
-        while below < 2:
-            term = mp.mpf(p) ** (2 * n) * q ** (p * p)
-            total += 2 * term
-            below = below + 1 if term < threshold else 0
-            p += 1
-        norm = +theta0(3, ctx.q).value
-        return HPFloat(total / norm, digits)
-
-
-def series_odd_moment(j: int, ctx: ModulusContext) -> HPFloat:
-    """The antisymmetric series sum_p p^(2j+1) q^(p^2) / theta3; identically
-    zero, evaluated here as an explicit cancellation check."""
-    digits = ctx.digits
-    with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        threshold = mp.mpf(10) ** (-digits - 5)
-        total = mp.mpf(0)
-        below = 0
-        p = 1
-        while below < 2:
-            term = mp.mpf(p) ** (2 * j + 1) * q ** (p * p)
-            total += term - term  # +p and -p contributions cancel exactly
-            below = below + 1 if term < threshold else 0
-            p += 1
-        norm = +theta0(3, ctx.q).value
-        return HPFloat(total / norm, digits)
+    return _weighted_series(lambda p: mp.mpf(p) ** (2 * n), ctx)
 
 
 def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
@@ -176,23 +168,8 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     summation; the Hermite factor only grows polynomially against the
     Gaussian-type decay of q^(p^2)."""
     digits = ctx.digits
-    sigma = ctx.sigma2.sqrt()
-    scale = sigma * hpf(2, digits).sqrt()
-    with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        threshold = mp.mpf(10) ** (-digits - 5)
-        total = +hermite(2 * n, hpf(0, digits)).value
-        below = 0
-        p = 1
-        while below < 2:
-            x = hpf(p, digits) / scale
-            h = +hermite(2 * n, x).value
-            term = q ** (p * p) * h
-            total += 2 * term
-            below = below + 1 if abs(term) < threshold else 0
-            p += 1
-        norm = +theta0(3, ctx.q).value
-        return HPFloat(total / norm, digits)
+    scale = ctx.sigma2.sqrt() * hpf(2, digits).sqrt()
+    return _weighted_series(lambda p: +hermite(2 * n, hpf(p, digits) / scale).value, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +266,12 @@ def verify_lambert_schett(n: int, ctx: ModulusContext, k_token: str = "") -> Ver
 def verify_jacobi_transform(c_token: str, digits: int = DEFAULT_DIGITS) -> VerificationReport:
     """Modular transformation theta3(e^(-pi/c)) = sqrt(c) theta3(e^(-pi c))."""
     c = hpf(c_token, digits)
+    if c.value <= 0:
+        raise DomainError("transformation parameter must be positive")
     pi_h = pi(digits)
     lhs = theta0(3, (-(pi_h / c)).exp())
     rhs = c.sqrt() * theta0(3, (-(pi_h * c)).exp())
-    report = _report("jacobi_transform", None, c_token, digits, lhs, rhs)
-    # jacobi_transform_residual is the library entry point; assert both agree
-    direct = jacobi_transform_residual(c)
-    if abs(direct - abs(lhs - rhs)) > suite_tolerance(digits):
-        raise AssertionError("residual helper disagrees with the report")
-    return report
+    return _report("jacobi_transform", None, c_token, digits, lhs, rhs)
 
 
 def verify_legendre(k, digits: int = DEFAULT_DIGITS, k_token: str = "") -> VerificationReport:
@@ -371,27 +345,52 @@ DEFAULT_CS = ("0.37", "1", "2", "5")
 Cell = tuple[str, int | None, str]
 
 
+# identity -> (orders, moduli, runner).  orders (first, cap) runs n over
+# first..min(nmax, cap), cap None meaning nmax; None marks a single cell with
+# no order.  moduli are the identity's fixed tokens, or None for the grid's.
+# A runner takes (n, token, digits, context_for) and looks its verifier up
+# when called, so that a wrapper installed on the module attribute sees it.
+IDENTITIES: dict[str, tuple] = {
+    "theorem1": ((0, None), None, lambda n, k, d, ctx: verify_theorem1(n, ctx(k), k)),
+    "theorem3": ((0, None), None, lambda n, k, d, ctx: verify_theorem3(n, ctx(k), k)),
+    "romik_eq11": ((0, None), (LEMNISCATIC_TOKEN,), lambda n, k, d, ctx: verify_romik11(n, d)),
+    "lambert_schett": ((2, None), None, lambda n, k, d, ctx: verify_lambert_schett(n, ctx(k), k)),
+    "jacobi_transform": (None, DEFAULT_CS, lambda n, c, d, ctx: verify_jacobi_transform(c, d)),
+    "legendre": (None, None, lambda n, k, d, ctx: verify_legendre(parse_modulus(k, d), d, k)),
+    "variance_symmetry": (
+        None, None, lambda n, k, d, ctx: verify_variance_symmetry(parse_modulus(k, d), d, k)
+    ),
+    "phi_consistency": (None, (LEMNISCATIC_TOKEN,), lambda n, k, d, ctx: verify_phi_consistency(d)),
+    "dual_moment_relation": (
+        (0, 4), None,
+        lambda n, k, d, ctx: verify_dual_moment_relation(n, parse_modulus(k, d), d, k),
+    ),
+}
+
+DEFAULT_IDENTITIES = (
+    "theorem1", "theorem3", "romik_eq11", "lambert_schett",
+    "jacobi_transform", "legendre", "variance_symmetry",
+)
+
+
+def cells_for(identities: Iterable[str], nmax: int, ks: tuple[str, ...]) -> list[Cell]:
+    """The cells of the named identities in the given order; within one
+    identity the modulus varies slower than the order."""
+    cells: list[Cell] = []
+    for identity in identities:
+        orders, moduli, _ = IDENTITIES[identity]
+        if orders is None:
+            ns: Iterable[int | None] = (None,)
+        else:
+            first, cap = orders
+            ns = range(first, (nmax if cap is None else min(nmax, cap)) + 1)
+        cells.extend((identity, n, k) for k in moduli or ks for n in ns)
+    return cells
+
+
 def default_grid(nmax: int = 8, ks: tuple[str, ...] = DEFAULT_KS) -> list[Cell]:
     """The deterministic default verification grid."""
-    cells: list[Cell] = []
-    for k in ks:
-        for n in range(nmax + 1):
-            cells.append(("theorem1", n, k))
-    for k in ks:
-        for n in range(nmax + 1):
-            cells.append(("theorem3", n, k))
-    for n in range(nmax + 1):
-        cells.append(("romik_eq11", n, LEMNISCATIC_TOKEN))
-    for k in ks:
-        for n in range(2, nmax + 1):
-            cells.append(("lambert_schett", n, k))
-    for c in DEFAULT_CS:
-        cells.append(("jacobi_transform", None, c))
-    for k in ks:
-        cells.append(("legendre", None, k))
-    for k in ks:
-        cells.append(("variance_symmetry", None, k))
-    return cells
+    return cells_for(DEFAULT_IDENTITIES, nmax, ks)
 
 
 def run_suite(cells: Iterable[Cell], digits: int = DEFAULT_DIGITS) -> list[VerificationReport]:
@@ -407,26 +406,12 @@ def run_suite(cells: Iterable[Cell], digits: int = DEFAULT_DIGITS) -> list[Verif
 
     for identity, n, token in cells:
         try:
-            if identity == "theorem1":
-                report = verify_theorem1(n, ctx_for(token), token)
-            elif identity == "theorem3":
-                report = verify_theorem3(n, ctx_for(token), token)
-            elif identity == "romik_eq11":
-                report = verify_romik11(n, digits)
-            elif identity == "lambert_schett":
-                report = verify_lambert_schett(n, ctx_for(token), token)
-            elif identity == "jacobi_transform":
-                report = verify_jacobi_transform(token, digits)
-            elif identity == "legendre":
-                report = verify_legendre(parse_modulus(token, digits), digits, token)
-            elif identity == "variance_symmetry":
-                report = verify_variance_symmetry(parse_modulus(token, digits), digits, token)
-            elif identity == "dual_moment_relation":
-                report = verify_dual_moment_relation(n, parse_modulus(token, digits), digits, token)
-            elif identity == "phi_consistency":
-                report = verify_phi_consistency(digits)
-            else:
+            if identity not in IDENTITIES:
                 raise DomainError(f"unknown identity {identity!r}")
+            orders, _, run = IDENTITIES[identity]
+            if not (n is None if orders is None else isinstance(n, int)):
+                raise DomainError(f"order {n!r} does not fit identity {identity!r}")
+            report = run(n, token, digits, ctx_for)
         except (DomainError, ValueError) as exc:
             report = VerificationReport(
                 identity=identity,

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from itertools import groupby
 
 import pytest
 
@@ -135,6 +136,31 @@ class TestVerify:
         assert code == 2
         assert "0, 1" in err or "interval" in err
 
+    def test_modulus_near_one_is_accepted(self, capsys):
+        # 1 - 1e-20 rounds to 1.0 as a binary float but not at 50 digits
+        code, out, _ = run_cli(
+            "verify", "all", "--k", "0.99999999999999999999", "--nmax", "3",
+            "--digits", "50", capsys=capsys,
+        )
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "25/25 cells passed at 50 digits"
+
+    def test_tiny_modulus_gives_error_cells(self, capsys):
+        # accepted, but at 50 digits k' rounds to 1, so the cells that need a
+        # context report a domain error instead of crashing
+        code, out, _ = run_cli(
+            "verify", "all", "--k", "1e-400", "--nmax", "1", capsys=capsys
+        )
+        assert code == 1
+        assert "error=elliptic modulus" in out
+
+    @pytest.mark.parametrize("token", ["0", "1", "1.5", "-0.1", "nan", "inf", "half"])
+    def test_rejected_modulus_tokens(self, token, capsys):
+        code, out, err = run_cli("verify", "all", "--k", token, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: modulus")
+
     def test_json_report_stream(self, capsys):
         code, out, _ = run_cli(
             "verify", "romik", "--nmax", "2", "--format", "json", capsys=capsys
@@ -144,6 +170,81 @@ class TestVerify:
         assert len(reports) == 3
         assert all(r["passed"] for r in reports)
         assert all(r["identity"] == "romik_eq11" for r in reports)
+
+
+def _blocks(cells):
+    """Collapse a cell list into its runs of one identity: [(identity, count)]."""
+    return [(identity, len(list(run))) for identity, run in groupby(c[0] for c in cells)]
+
+
+class TestVerifyCells:
+    """The exact cell list each verify subcommand hands to run_suite."""
+
+    EXPECTED = {
+        ("all", None): [
+            ("theorem1", 27), ("theorem3", 27), ("romik_eq11", 9),
+            ("lambert_schett", 21), ("jacobi_transform", 4), ("legendre", 3),
+            ("variance_symmetry", 3), ("phi_consistency", 1),
+            ("dual_moment_relation", 15),
+        ],
+        ("all", "2"): [
+            ("theorem1", 9), ("theorem3", 9), ("romik_eq11", 3),
+            ("lambert_schett", 3), ("jacobi_transform", 4), ("legendre", 3),
+            ("variance_symmetry", 3), ("phi_consistency", 1),
+            ("dual_moment_relation", 9),
+        ],
+        ("theorem1", None): [("theorem1", 27)],
+        ("theorem1", "2"): [("theorem1", 9)],
+        ("theorem3", None): [("theorem3", 27)],
+        ("theorem3", "2"): [("theorem3", 9)],
+        ("romik", None): [("romik_eq11", 9)],
+        ("romik", "2"): [("romik_eq11", 3)],
+        ("symmetry", None): [("variance_symmetry", 3), ("dual_moment_relation", 15)],
+        ("symmetry", "2"): [("variance_symmetry", 3), ("dual_moment_relation", 9)],
+    }
+
+    @staticmethod
+    def _capture(monkeypatch, capsys, *argv):
+        seen = []
+
+        def fake_run_suite(cells, digits):
+            seen.append(list(cells))
+            return []
+
+        monkeypatch.setattr("thetakit.cli.run_suite", fake_run_suite)
+        code, _, _ = run_cli("verify", *argv, capsys=capsys)
+        assert code == 0 and len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("which, nmax", sorted(EXPECTED, key=str))
+    def test_block_order_and_lengths(self, monkeypatch, capsys, which, nmax):
+        argv = (which,) if nmax is None else (which, "--nmax", nmax)
+        cells = self._capture(monkeypatch, capsys, *argv)
+        assert _blocks(cells) == self.EXPECTED[(which, nmax)]
+
+    def test_all_default_cells(self, monkeypatch, capsys):
+        cells = self._capture(monkeypatch, capsys, "all")
+        assert len(cells) == 110
+        assert cells[:10] == [("theorem1", n, "0.3") for n in range(9)] + [
+            ("theorem1", 0, "1/sqrt2")
+        ]
+        assert [c for c in cells if c[0] == "jacobi_transform"] == [
+            ("jacobi_transform", None, c) for c in ("0.37", "1", "2", "5")
+        ]
+        assert cells[-15:] == [
+            ("dual_moment_relation", n, k)
+            for k in ("0.3", "1/sqrt2", "0.9")
+            for n in range(5)
+        ]
+
+    def test_given_modulus_replaces_defaults(self, monkeypatch, capsys):
+        cells = self._capture(monkeypatch, capsys, "all", "--k", "0.6", "--nmax", "2")
+        fixed = {"romik_eq11": "1/sqrt2", "phi_consistency": "1/sqrt2"}
+        for identity, _, token in cells:
+            if identity == "jacobi_transform":
+                continue
+            assert token == fixed.get(identity, "0.6")
+        assert len(cells) == 3 + 3 + 3 + 1 + 4 + 1 + 1 + 1 + 3
 
 
 class TestConjecture:

@@ -3,6 +3,7 @@ suite runner's error discipline."""
 
 import dataclasses
 import json
+from itertools import groupby
 
 import pytest
 
@@ -20,7 +21,6 @@ from thetakit.verify import (
     parse_modulus,
     run_suite,
     series_moment,
-    series_odd_moment,
     suite_tolerance,
     verify_dual_moment_relation,
     verify_jacobi_transform,
@@ -62,10 +62,6 @@ class TestGroundTruthSeries:
 
     def test_second_moment_is_variance(self, ctx06):
         assert float(abs(series_moment(1, ctx06) - ctx06.sigma2)) < 1e-36
-
-    def test_odd_moments_vanish(self, ctx06):
-        for j in range(3):
-            assert float(series_odd_moment(j, ctx06)) == 0.0
 
     def test_hermite_weighted_zeroth(self, ctx06):
         assert float(abs(hermite_weighted_series(0, ctx06) - 1)) < 1e-37
@@ -148,6 +144,13 @@ class TestSuiteRunner:
     def test_default_grid_shape(self):
         assert len(default_grid()) == 94
         assert len(default_grid(nmax=2)) == 34
+        runs = [(identity, len(list(run)))
+                for identity, run in groupby(c[0] for c in default_grid(nmax=2))]
+        assert runs == [
+            ("theorem1", 9), ("theorem3", 9), ("romik_eq11", 3),
+            ("lambert_schett", 3), ("jacobi_transform", 4), ("legendre", 3),
+            ("variance_symmetry", 3),
+        ]
 
     def test_small_grid_all_pass(self):
         reports = run_suite(default_grid(nmax=3), digits=30)
@@ -163,6 +166,19 @@ class TestSuiteRunner:
         reports = run_suite([("no_such_identity", None, "0.5")], digits=30)
         assert not reports[0].passed
         assert "no_such_identity" in reports[0].error
+
+    def test_nonpositive_transform_parameter_is_captured(self):
+        reports = run_suite([("jacobi_transform", None, "0")], digits=30)
+        assert not reports[0].passed
+        assert "positive" in reports[0].error
+
+    @pytest.mark.parametrize(
+        "cell", [("theorem1", None, "0.3"), ("legendre", 2, "0.3")]
+    )
+    def test_order_that_does_not_fit_is_captured(self, cell):
+        reports = run_suite([cell], digits=30)
+        assert not reports[0].passed
+        assert cell[0] in reports[0].error and "order" in reports[0].error
 
     def test_context_cache_reuses_token(self):
         # two cells with the same token must agree bit for bit
