@@ -196,22 +196,8 @@ def _cmd_verify(args) -> int:
     passed = sum(1 for r in reports if r.passed)
     lines.append(f"{passed}/{len(reports)} cells passed at {args.digits} digits")
     payload = [r.to_dict() for r in reports]
-    csv_rows = [
-        [
-            r.identity,
-            "" if r.n is None else r.n,
-            r.k,
-            r.digits,
-            "" if r.lhs is None else r.lhs.to_decimal_string(),
-            "" if r.rhs is None else r.rhs.to_decimal_string(),
-            "" if r.residual is None else r.residual.to_decimal_string(),
-            "" if r.tolerance is None else r.tolerance.to_decimal_string(),
-            r.passed,
-            r.error or "",
-        ]
-        for r in reports
-    ]
     header = ["identity", "n", "k", "digits", "lhs", "rhs", "residual", "tolerance", "passed", "error"]
+    csv_rows = [[row[key] for key in header] for row in payload]
     _emit(args, "\n".join(lines), payload, header, csv_rows)
     return 0 if passed == len(reports) else 1
 

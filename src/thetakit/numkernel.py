@@ -2,11 +2,13 @@
 
 Provides the HPFloat scalar (an immutable wrapper around an mpmath value
 carrying its decimal working precision), the AGM and the complete elliptic
-integrals built on it, the nome, theta series with explicit tail bounds,
-Hermite polynomial evaluation, and the per-modulus ModulusContext bundle.
+integrals built on it, the nome, theta series, Hermite polynomial
+evaluation, and the per-modulus ModulusContext bundle.
 
 K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
-sum.  ``theta0`` is ``theta`` at zero argument.
+sum.  The theta series and the weighted moment series of ``verify`` are all
+the one Gaussian lattice loop ``_gauss_sum``.  ``make_context`` is memoised
+per (k, digits), up to ``_CONTEXT_MEMO`` entries.
 
 Every primitive runs with ``_GUARD`` extra digits (the one definition, which
 the other modules import) so that its relative error stays below
@@ -15,9 +17,10 @@ the other modules import) so that its relative error stays below
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from mpmath import mp
 
@@ -43,6 +46,7 @@ __all__ = [
 
 DEFAULT_DIGITS = 50
 _GUARD = 10  # extra working digits for every primitive
+_CONTEXT_MEMO = 32  # contexts kept by make_context
 
 Scalar = Union["HPFloat", int, Fraction, str]
 
@@ -67,23 +71,6 @@ class HPFloat:
     def __post_init__(self) -> None:
         if self.digits < 15:
             raise DomainError("precision must be at least 15 decimal digits")
-
-    # -- construction helpers ------------------------------------------
-
-    @staticmethod
-    def from_int(i: int, digits: int = DEFAULT_DIGITS) -> "HPFloat":
-        with mp.workdps(digits + _GUARD):
-            return HPFloat(mp.mpf(i), digits)
-
-    @staticmethod
-    def from_fraction(f: Fraction, digits: int = DEFAULT_DIGITS) -> "HPFloat":
-        with mp.workdps(digits + _GUARD):
-            return HPFloat(mp.mpf(f.numerator) / mp.mpf(f.denominator), digits)
-
-    @staticmethod
-    def from_str(s: str, digits: int = DEFAULT_DIGITS) -> "HPFloat":
-        with mp.workdps(digits + _GUARD):
-            return HPFloat(mp.mpf(s), digits)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -174,9 +161,6 @@ class HPFloat:
             raise DomainError("log of a non-positive value")
         return self._unary(mp.log)
 
-    def sinh(self) -> "HPFloat":
-        return self._unary(mp.sinh)
-
     # -- conversions -------------------------------------------------------
 
     def to_decimal_string(self) -> str:
@@ -193,22 +177,20 @@ class HPFloat:
 
 
 def hpf(x: Scalar, digits: int = DEFAULT_DIGITS) -> HPFloat:
-    """Build an HPFloat from an exact representation (never a float)."""
+    """Build an HPFloat from an exact representation (never a float), or
+    relabel an HPFloat to its own or a lower precision (never a higher one)."""
     if isinstance(x, HPFloat):
-        if x.digits == digits:
-            return x
-        return HPFloat(x.value, digits)
-    if isinstance(x, bool):
-        raise TypeError("bool is not a numeric input")
-    if isinstance(x, int):
-        return HPFloat.from_int(x, digits)
-    if isinstance(x, Fraction):
-        return HPFloat.from_fraction(x, digits)
-    if isinstance(x, str):
-        return HPFloat.from_str(x, digits)
+        if x.digits < digits:
+            raise DomainError(f"a {x.digits}-digit value cannot be relabelled to {digits} digits")
+        return x if x.digits == digits else HPFloat(x.value, digits)
     if isinstance(x, float):
         raise TypeError("binary floats are ambiguous; pass a str, int or Fraction")
-    raise TypeError(f"cannot build HPFloat from {type(x).__name__}")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"cannot build HPFloat from {type(x).__name__}")
+    with mp.workdps(digits + _GUARD):
+        if isinstance(x, Fraction):
+            return HPFloat(mp.mpf(x.numerator) / mp.mpf(x.denominator), digits)
+        return HPFloat(mp.mpf(x), digits)
 
 
 def pi(digits: int = DEFAULT_DIGITS) -> HPFloat:
@@ -218,9 +200,7 @@ def pi(digits: int = DEFAULT_DIGITS) -> HPFloat:
 
 def pow10(exponent: int, digits: int = DEFAULT_DIGITS) -> HPFloat:
     """Exact power of ten as an HPFloat; handy for tolerances."""
-    if exponent >= 0:
-        return HPFloat.from_int(10 ** exponent, digits)
-    return HPFloat.from_fraction(Fraction(1, 10 ** (-exponent)), digits)
+    return hpf(Fraction(10) ** exponent, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +208,9 @@ def pow10(exponent: int, digits: int = DEFAULT_DIGITS) -> HPFloat:
 # ---------------------------------------------------------------------------
 
 
-def agm(a: Scalar, b: Scalar, digits: int | None = None) -> HPFloat:
+def agm(a: Scalar, b: Scalar, digits: int) -> HPFloat:
     """Arithmetic-geometric mean, iterated until |a_n - b_n| < 10^(1-digits)*a_n."""
-    a_h = a if isinstance(a, HPFloat) else hpf(a, digits or DEFAULT_DIGITS)
-    b_h = b if isinstance(b, HPFloat) else hpf(b, digits or a_h.digits)
-    digits = digits or max(a_h.digits, b_h.digits)
+    a_h, b_h = hpf(a, digits), hpf(b, digits)
     if a_h.value <= 0 or b_h.value <= 0:
         raise DomainError("agm requires positive inputs")
     with mp.workdps(digits + _GUARD):
@@ -290,50 +268,51 @@ def _require_nome(q: HPFloat) -> None:
         raise DomainError("nome must satisfy 0 < q < 1")
 
 
-def _theta_cutoff(qv, digits: int) -> int:
-    # smallest N with q^(N^2) below the tail threshold 10^(-digits-5)
-    with mp.workdps(digits + _GUARD):
-        n = mp.sqrt((digits + 5) / (-mp.log10(qv)))
-        return int(mp.ceil(n)) + 1
+def _gauss_sum(q, digits: int, weight: Callable[[int], object], half: bool = False):
+    """sum_{n in Z} w(n) q^((n+h)^2) for a weight symmetric about -h, with
+    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0.  Stops
+    once two consecutive terms, and their Gaussian factors, fall below
+    10^(-digits-5), so a small weight cannot end the sum early.  Raw mpf in
+    the caller's workdps."""
+    threshold = mp.mpf(10) ** (-digits - 5)
+    h = mp.mpf(1) / 2 if half else 0
+    total = mp.mpf(0) if half else mp.mpf(weight(0))
+    n = 0 if half else 1
+    below = 0
+    while below < 2:
+        gauss = q ** ((n + h) ** 2)
+        term = weight(n) * gauss
+        total += 2 * term
+        below = below + 1 if max(abs(term), gauss) < threshold else 0
+        n += 1
+    return total
+
+
+# theta index -> (half lattice, alternating sign, trigonometric factor)
+_THETA_SERIES = {
+    1: (True, -1, mp.sin), 2: (True, 1, mp.cos), 3: (False, 1, mp.cos), 4: (False, -1, mp.cos),
+}
 
 
 def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
-    """Theta function value theta_i(zarg, q) for real zarg, i in 1..4.
-
-    Series are truncated at the first index N with q^(N^2) (or the
-    half-integer analogue) below 10^(-digits-5); the geometric tail is then
-    below the last retained term.
-    """
+    """Theta function value theta_i(zarg, q) for real zarg, i in 1..4: the
+    lattice sum of sign^n q^((n+h)^2) trig((2n+2h) z), with (h, sign, trig)
+    from ``_THETA_SERIES``.  At z = 0 the trigonometric factor is the
+    constant trig(0) and is not evaluated per term."""
     _require_nome(q)
+    if i not in _THETA_SERIES:
+        raise DomainError("theta index must be 1, 2, 3 or 4")
+    half, sign, trig = _THETA_SERIES[i]
     digits = q.digits
     z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
-    cutoff = _theta_cutoff(q.value, digits)
     with mp.workdps(digits + _GUARD):
-        qv = +q.value
         zv = +z_h.value
-        if i == 1:
-            total = mp.mpf(0)
-            for n in range(cutoff + 1):
-                sign = -1 if n % 2 else 1
-                total += sign * qv ** ((n + mp.mpf(1) / 2) ** 2) * mp.sin((2 * n + 1) * zv)
-            return HPFloat(2 * total, digits)
-        if i == 2:
-            total = mp.mpf(0)
-            for n in range(cutoff + 1):
-                total += qv ** ((n + mp.mpf(1) / 2) ** 2) * mp.cos((2 * n + 1) * zv)
-            return HPFloat(2 * total, digits)
-        if i == 3:
-            total = mp.mpf(1)
-            for n in range(1, cutoff + 1):
-                total += 2 * qv ** (n * n) * mp.cos(2 * n * zv)
-            return HPFloat(total, digits)
-        if i == 4:
-            total = mp.mpf(1)
-            for n in range(1, cutoff + 1):
-                sign = -1 if n % 2 else 1
-                total += 2 * sign * qv ** (n * n) * mp.cos(2 * n * zv)
-            return HPFloat(total, digits)
-    raise DomainError("theta index must be 1, 2, 3 or 4")
+        at_zero = trig(zv)
+
+        def weight(n):
+            return sign ** n * (trig((2 * n + half) * zv) if zv else at_zero)
+
+        return HPFloat(_gauss_sum(+q.value, digits, weight, half), digits)
 
 
 def theta0(i: int, q: HPFloat) -> HPFloat:
@@ -418,8 +397,10 @@ class ModulusContext:
     digits: int
 
 
+@functools.lru_cache(maxsize=_CONTEXT_MEMO, typed=True)
 def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:
-    """Build the ModulusContext for modulus k at the requested precision."""
+    """Build the ModulusContext for modulus k at the requested precision,
+    memoised on (k, digits); HPFloat moduli compare by value."""
     k_h = hpf(k, digits)
     _require_modulus(k_h)
     kprime = (1 - k_h * k_h).sqrt()

@@ -6,9 +6,11 @@ lemniscatic special case, the dual-modulus variance and moment relations,
 and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
-Both ground-truth series share one truncated theta-weighted sum, and one
-table, ``IDENTITIES``, gives each identity its orders, moduli and runner:
-``run_suite`` dispatches through it and ``cells_for`` builds grids from it.
+Both ground-truth series are the kernel's Gaussian lattice loop with a
+weight, over theta3, and every verifier takes its contexts from the memoised
+``make_context``.  One table, ``IDENTITIES``, gives each identity its
+orders, moduli and runner: ``run_suite`` dispatches through it and
+``cells_for`` builds grids from it.
 
 Residuals are reported relative to max(1, |rhs|) because moments grow
 super-exponentially with the order; the default tolerance 10^(8-digits)
@@ -29,6 +31,7 @@ from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
 from .numkernel import (
     _GUARD,
+    _gauss_sum,
     DEFAULT_DIGITS,
     DomainError,
     HPFloat,
@@ -36,6 +39,7 @@ from .numkernel import (
     gamma_quarter,
     hermite,
     hpf,
+    lemniscatic_context,
     make_context,
     pi,
     pow10,
@@ -136,23 +140,12 @@ def _report(identity: str, n: int | None, k_token: str, digits: int,
 
 
 def _weighted_series(weight: Callable[[int], object], ctx: ModulusContext) -> HPFloat:
-    """(w(0) + 2 sum_{p>=1} w(p) q^(p^2)) / theta3(q) for an even weight w
-    returning raw mpf values, stopped once two consecutive terms fall below
-    10^(-digits-5)."""
+    """sum_p w(p) q^(p^2) / theta3(q) for an even weight w returning raw mpf
+    values."""
     digits = ctx.digits
     with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        threshold = mp.mpf(10) ** (-digits - 5)
-        total = weight(0)
-        below = 0
-        p = 1
-        while below < 2:
-            term = weight(p) * q ** (p * p)
-            total += 2 * term
-            below = below + 1 if abs(term) < threshold else 0
-            p += 1
-        norm = +theta0(3, ctx.q).value
-        return HPFloat(total / norm, digits)
+        total = _gauss_sum(+ctx.q.value, digits, weight)
+        return HPFloat(total / +theta0(3, ctx.q).value, digits)
 
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
@@ -167,14 +160,19 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     """sum_p q^(p^2) H_{2n}(p / (sigma sqrt 2)) / theta3(q) by direct
     summation; the Hermite factor only grows polynomially against the
     Gaussian-type decay of q^(p^2)."""
-    digits = ctx.digits
-    scale = ctx.sigma2.sqrt() * hpf(2, digits).sqrt()
-    return _weighted_series(lambda p: +hermite(2 * n, hpf(p, digits) / scale).value, ctx)
+    scale = (ctx.sigma2.sqrt() * hpf(2, ctx.digits).sqrt()).value
+    return _weighted_series(lambda p: hermite(2 * n, p / scale), ctx)
 
 
 # ---------------------------------------------------------------------------
 # Identity verifiers
 # ---------------------------------------------------------------------------
+
+
+def _convolution_coeff(n: int, j: int) -> Fraction:
+    """C(2n, 2j) (2n-2j)!/(n-j)!, the weight of mu_{2j} in the Gaussian
+    convolution of order 2n."""
+    return binomial(2 * n, 2 * j) * Fraction(math.factorial(2 * n - 2 * j), math.factorial(n - j))
 
 
 def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> VerificationReport:
@@ -206,9 +204,7 @@ def verify_theorem3(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     polys = bell_moments(n)
     lhs = hpf(0, digits)
     for j in range(n + 1):
-        coeff = binomial(2 * n, 2 * j) * Fraction(
-            math.factorial(2 * n - 2 * j), math.factorial(n - j)
-        )
+        coeff = _convolution_coeff(n, j)
         r_val = polys[j].R.evaluate(m)
         term = half_z ** (2 * j) * r_val * half_s ** (n - j) * coeff
         lhs = lhs + term
@@ -227,7 +223,7 @@ def verify_romik11(n: int, digits: int = DEFAULT_DIGITS) -> VerificationReport:
     """
     if n < 0:
         raise DomainError("index must be >= 0")
-    ctx = make_context(hpf(Fraction(1, 2), digits).sqrt(), digits)
+    ctx = lemniscatic_context(digits)
     lhs = series_moment(n, ctx)
     g = gamma_quarter(digits)
     pi_h = pi(digits)
@@ -300,9 +296,7 @@ def verify_dual_moment_relation(n: int, k, digits: int = DEFAULT_DIGITS, k_token
     delta2 = dual.sigma2 + ctx.c * ctx.c * ctx.sigma2
     rhs = hpf(0, digits)
     for j in range(n + 1):
-        coeff = binomial(2 * n, 2 * j) * Fraction(
-            math.factorial(2 * n - 2 * j), math.factorial(n - j)
-        )
+        coeff = _convolution_coeff(n, j)
         sign = 1 if j % 2 == 0 else -1
         term = (
             (ctx.c ** (2 * j))
@@ -328,7 +322,7 @@ def verify_phi_consistency(digits: int = DEFAULT_DIGITS) -> VerificationReport:
     """Consistency of the two lemniscatic fourth-cumulant constants:
     4 pi^2 kappa_4 = pi^2 theta3(e^-pi)^8 / 8, with kappa_4 from the series
     and theta3 from its own series."""
-    ctx = make_context(hpf(Fraction(1, 2), digits).sqrt(), digits)
+    ctx = lemniscatic_context(digits)
     pi_h = pi(digits)
     lhs = 4 * pi_h * pi_h * cumulant_lambert(2, ctx)
     rhs = pi_h * pi_h * theta0(3, ctx.q) ** 8 / 8
@@ -345,25 +339,31 @@ DEFAULT_CS = ("0.37", "1", "2", "5")
 Cell = tuple[str, int | None, str]
 
 
+def _context(token: str, digits: int) -> ModulusContext:
+    return make_context(parse_modulus(token, digits), digits)
+
+
 # identity -> (orders, moduli, runner).  orders (first, cap) runs n over
 # first..min(nmax, cap), cap None meaning nmax; None marks a single cell with
 # no order.  moduli are the identity's fixed tokens, or None for the grid's.
-# A runner takes (n, token, digits, context_for) and looks its verifier up
-# when called, so that a wrapper installed on the module attribute sees it.
+# A runner takes (n, token, digits) and looks its verifier up when called,
+# so that a wrapper installed on the module attribute sees it.
 IDENTITIES: dict[str, tuple] = {
-    "theorem1": ((0, None), None, lambda n, k, d, ctx: verify_theorem1(n, ctx(k), k)),
-    "theorem3": ((0, None), None, lambda n, k, d, ctx: verify_theorem3(n, ctx(k), k)),
-    "romik_eq11": ((0, None), (LEMNISCATIC_TOKEN,), lambda n, k, d, ctx: verify_romik11(n, d)),
-    "lambert_schett": ((2, None), None, lambda n, k, d, ctx: verify_lambert_schett(n, ctx(k), k)),
-    "jacobi_transform": (None, DEFAULT_CS, lambda n, c, d, ctx: verify_jacobi_transform(c, d)),
-    "legendre": (None, None, lambda n, k, d, ctx: verify_legendre(parse_modulus(k, d), d, k)),
-    "variance_symmetry": (
-        None, None, lambda n, k, d, ctx: verify_variance_symmetry(parse_modulus(k, d), d, k)
+    "theorem1": ((0, None), None, lambda n, k, d: verify_theorem1(n, _context(k, d), k)),
+    "theorem3": ((0, None), None, lambda n, k, d: verify_theorem3(n, _context(k, d), k)),
+    "romik_eq11": ((0, None), (LEMNISCATIC_TOKEN,), lambda n, k, d: verify_romik11(n, d)),
+    "lambert_schett": (
+        (2, None), None, lambda n, k, d: verify_lambert_schett(n, _context(k, d), k)
     ),
-    "phi_consistency": (None, (LEMNISCATIC_TOKEN,), lambda n, k, d, ctx: verify_phi_consistency(d)),
+    "jacobi_transform": (None, DEFAULT_CS, lambda n, c, d: verify_jacobi_transform(c, d)),
+    "legendre": (None, None, lambda n, k, d: verify_legendre(parse_modulus(k, d), d, k)),
+    "variance_symmetry": (
+        None, None, lambda n, k, d: verify_variance_symmetry(parse_modulus(k, d), d, k)
+    ),
+    "phi_consistency": (None, (LEMNISCATIC_TOKEN,), lambda n, k, d: verify_phi_consistency(d)),
     "dual_moment_relation": (
         (0, 4), None,
-        lambda n, k, d, ctx: verify_dual_moment_relation(n, parse_modulus(k, d), d, k),
+        lambda n, k, d: verify_dual_moment_relation(n, parse_modulus(k, d), d, k),
     ),
 }
 
@@ -397,13 +397,6 @@ def run_suite(cells: Iterable[Cell], digits: int = DEFAULT_DIGITS) -> list[Verif
     """Run every cell in order; failures and domain errors are recorded in
     the report stream, never raised."""
     reports: list[VerificationReport] = []
-    contexts: dict[str, ModulusContext] = {}
-
-    def ctx_for(token: str) -> ModulusContext:
-        if token not in contexts:
-            contexts[token] = make_context(parse_modulus(token, digits), digits)
-        return contexts[token]
-
     for identity, n, token in cells:
         try:
             if identity not in IDENTITIES:
@@ -411,7 +404,7 @@ def run_suite(cells: Iterable[Cell], digits: int = DEFAULT_DIGITS) -> list[Verif
             orders, _, run = IDENTITIES[identity]
             if not (n is None if orders is None else isinstance(n, int)):
                 raise DomainError(f"order {n!r} does not fit identity {identity!r}")
-            report = run(n, token, digits, ctx_for)
+            report = run(n, token, digits)
         except (DomainError, ValueError) as exc:
             report = VerificationReport(
                 identity=identity,

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
 
 from thetakit.numkernel import (
     DEFAULT_DIGITS,
@@ -106,6 +107,18 @@ class TestHPFloatScalar:
     def test_pow10(self):
         assert float(pow10(-3, 20)) == 1e-3
         assert float(abs(pow10(2, 20) - 100)) == 0.0
+
+    def test_upward_relabel_raises(self):
+        # a 30-digit value cannot be promised at 50 digits without recomputing
+        with pytest.raises(DomainError):
+            hpf(hpf("0.3", 30), 50)
+
+    def test_downward_relabel_keeps_value(self):
+        x = pi(50)
+        y = hpf(x, 30)
+        assert y.digits == 30
+        assert y.value == x.value
+        assert hpf(x, 50) is x
 
     def test_decimal_string_roundtrip(self):
         x = pi(40)
@@ -209,6 +222,40 @@ class TestTheta:
             theta0(context_bad := 5, hpf("0.1", 30))  # noqa: F841
 
 
+# theta_i(z, q) against mpmath's jtheta at digits + 60 (an oracle the kernel
+# never calls).  theta4 near q = 1 is tiny and its alternating series cancels,
+# so five points miss the 10^(2 - digits) relative bound.
+SWEEP_Q = ("1e-30", "1e-4", "0.01", "0.1", "0.3", "0.5", "0.8", "0.95")
+THETA4_CANCELS = {("0", 20), ("0", 30), ("0", 50), ("0", 137), ("0.4", 20)}
+
+
+def _sweep_cases():
+    for digits in (20, 30, 50, 137):
+        for q in SWEEP_Q:
+            for z in ("0", "0.4"):
+                for i in (1, 2, 3, 4):
+                    marks = ()
+                    if i == 4 and q == "0.95" and (z, digits) in THETA4_CANCELS:
+                        marks = pytest.mark.xfail(
+                            strict=True,
+                            reason="theta4 near q = 1 is tiny and its alternating series cancels",
+                        )
+                    yield pytest.param(i, z, q, digits, marks=marks)
+
+
+class TestThetaSweep:
+    @pytest.mark.parametrize("i, z, q, digits", _sweep_cases())
+    def test_against_jtheta(self, i, z, q, digits):
+        q_h, z_h = hpf(q, digits), hpf(z, digits)
+        got = theta(i, z_h, q_h).value
+        if i == 1 and z == "0":
+            assert got == 0
+            return
+        with mp.workdps(digits + 60):
+            ref = mp.jtheta(i, z_h.value, q_h.value)
+            assert abs(got - ref) <= abs(ref) * mp.mpf(10) ** (2 - digits)
+
+
 class TestHermite:
     def test_golden_values_at_one(self):
         got = [hermite(n, Fraction(1)) for n in range(6)]
@@ -273,3 +320,12 @@ class TestModulusContext:
 
     def test_default_digits(self):
         assert make_context("0.6").digits == DEFAULT_DIGITS
+
+    def test_upward_relabel_of_modulus_raises(self):
+        with pytest.raises(DomainError):
+            make_context(hpf("0.3", 30), 50)
+
+    def test_repeated_context_is_shared(self):
+        assert make_context("0.41", 33) is make_context("0.41", 33)
+        # moduli compare by value, so an equal HPFloat reaches the same context
+        assert make_context(hpf("0.41", 33), 33) is make_context(hpf("0.41", 33), 33)

@@ -7,6 +7,7 @@ from itertools import groupby
 
 import pytest
 
+from thetakit import numkernel
 from thetakit.numkernel import (
     DomainError,
     hpf,
@@ -179,6 +180,17 @@ class TestSuiteRunner:
         reports = run_suite([cell], digits=30)
         assert not reports[0].passed
         assert cell[0] in reports[0].error and "order" in reports[0].error
+
+    def test_suite_builds_one_context_per_modulus(self, monkeypatch):
+        # make_context is the only caller of ellipE, twice per context
+        calls = []
+        ellip_e = numkernel.ellipE
+        monkeypatch.setattr(numkernel, "ellipE", lambda k: calls.append(k) or ellip_e(k))
+        make_context.cache_clear()
+        run_suite(default_grid(8), digits=30)
+        # 0.3, 1/sqrt2 and 0.9, and the duals of 0.3 and 0.9 (the lemniscatic
+        # modulus is its own dual)
+        assert len(calls) == 2 * 5
 
     def test_context_cache_reuses_token(self):
         # two cells with the same token must agree bit for bit
