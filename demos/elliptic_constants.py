@@ -36,7 +36,7 @@ print(f"K  = {ctx.K}")
 print(f"E  = {ctx.E}")
 print(f"K' = {ctx.Kprime}")
 # Legendre: E K' + E' K - K K' = pi/2, checked as a residual
-report = verify_legendre("0.6", DIGITS)
+report = verify_legendre(ctx)
 print(f"Legendre residual = {report.residual}  (passed: {report.passed})")
 
 print()

@@ -29,8 +29,8 @@ from .combinatorics import reconcile_thm11
 from .cumulants import p_poly
 from .exactalg import ConsistencyError, schett_reduced
 from .moments import bell_moments, conjecture_check, d_sequence, q_from_a, q_value
-from .numkernel import DEFAULT_DIGITS, DomainError
-from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, cells_for, parse_modulus, run_suite
+from .numkernel import DEFAULT_DIGITS, DomainError, parse_modulus
+from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, cells_for, run_suite
 
 __all__ = ["build_parser", "main"]
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .exactalg import ConsistencyError, UniPoly
@@ -107,7 +106,6 @@ def count_profiles(n: int) -> CyclePeakProfile:
     return CyclePeakProfile(n=n, counts=counts)
 
 
-@lru_cache(maxsize=None)
 def peak_numbers(n: int) -> tuple[int, ...]:
     """Row n of the integer table driving the cycle-peak cumulant formula.
 

@@ -22,12 +22,11 @@ from mpmath import mp
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
     _GUARD,
-    DEFAULT_DIGITS,
     DomainError,
     HPFloat,
     ModulusContext,
+    dual_context,
     hpf,
-    make_context,
 )
 
 __all__ = [
@@ -62,12 +61,8 @@ class CumulantPoly:
 
     def evaluate(self, ctx: ModulusContext) -> HPFloat:
         """Numeric cumulant kappa_{2n} at the context's modulus."""
-        m = ctx.k * ctx.k
         half_z = ctx.z / 2
-        return half_z ** (2 * self.n) * (self.coefficient.evaluate(m))
-
-
-_p_memo: dict[int, UniPoly] = {}
+        return half_z ** (2 * self.n) * (self.coefficient.evaluate(ctx.m))
 
 
 def p_poly(p: int) -> UniPoly:
@@ -77,19 +72,15 @@ def p_poly(p: int) -> UniPoly:
     the -m(1-m) factor being the product of the two stripped i*k*k'
     prefactors.  The sum is the EGF coefficient [Y^2]_{2p} of the square
     of the sn solution Y (S_n = Y^(2n+1)(0)), which the exact layer keeps
-    memoized.  P_0 is the zero polynomial.
+    memoized, so only the product with -m(1-m) is recomputed per call.
+    P_0 is the zero polynomial.
     """
     if p < 0:
         raise ValueError("index must be >= 0")
     if p == 0:
         return UniPoly.zero()
-    cached = _p_memo.get(p)
-    if cached is not None:
-        return cached
     prefactor = UniPoly.from_ints([0, -1, 1])  # -m(1-m) = m^2 - m
-    result = prefactor * _sn_square(2 * p)
-    _p_memo[p] = result
-    return result
+    return prefactor * _sn_square(2 * p)
 
 
 def cumulant_poly(n: int) -> CumulantPoly:
@@ -191,17 +182,13 @@ def symmetry_check_P(n: int) -> bool:
     return flipped == expected
 
 
-def cumulant_symmetry_residual(n: int, k, digits: int | None = None) -> HPFloat:
+def cumulant_symmetry_residual(n: int, ctx: ModulusContext) -> HPFloat:
     """Numeric residual of the dual-modulus cumulant relation
     kappa_{2n}(k') = (-1)^n (K'/K)^(2n) kappa_{2n}(k), both sides by the
     hyperbolic-sine series."""
     if n < 2:
         raise DomainError("dual-modulus relation applies for n >= 2")
-    if digits is None:
-        digits = k.digits if isinstance(k, HPFloat) else DEFAULT_DIGITS
-    ctx = make_context(k, digits)
-    dual = make_context(ctx.kprime, ctx.digits)
-    lhs = cumulant_lambert(n, dual)
+    lhs = cumulant_lambert(n, dual_context(ctx))
     ratio = ctx.c ** (2 * n)  # (K'/K)^(2n)
     sign = 1 if n % 2 == 0 else -1
     rhs = cumulant_lambert(n, ctx) * ratio * sign

@@ -180,31 +180,19 @@ def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
     rows: list[ConjectureRow] = []
     for m in range(1, N + 1):
         value = values[m]
-        if alpha_fn is not None:
-            alpha = alpha_fn(m)
-            scaled = alpha * value
-            rows.append(
-                ConjectureRow(
-                    p=p,
-                    m=m,
-                    value=value,
-                    alpha=alpha,
-                    scaled=scaled,
-                    is_integer=(scaled.denominator == 1),
-                )
+        alpha = None if alpha_fn is None else alpha_fn(m)
+        scaled = None if alpha is None else alpha * value
+        rows.append(
+            ConjectureRow(
+                p=p,
+                m=m,
+                value=value,
+                alpha=alpha,
+                scaled=scaled,
+                is_integer=None if scaled is None else scaled.denominator == 1,
+                denominator_factors=_factorize(value.denominator) if scaled is None else None,
             )
-        else:
-            rows.append(
-                ConjectureRow(
-                    p=p,
-                    m=m,
-                    value=value,
-                    alpha=None,
-                    scaled=None,
-                    is_integer=None,
-                    denominator_factors=_factorize(value.denominator),
-                )
-            )
+        )
     return rows
 
 
@@ -256,20 +244,16 @@ def q_from_a(N: int) -> list[int]:
 def kappa_recurrence_check(N: int) -> bool:
     """Exact check of the self-dual quadratic cumulant recurrence
     kappa_{4n} = -6 sum_{j=0}^{n-2} C(4n-4, 4j+2) kappa_{4j+4} kappa_{4n-4j-4}
-    for 2 <= n <= N, in the grade-free form gamma_{2t} = (-1)^(t-1) P_{2t-2}(1/2)
-    (the common factor (z/2)^(4n) cancels)."""
+    for 2 <= n <= N, on the integers Q_{4n} = q_value(2n) (the common
+    factor (z/(2 sqrt 2))^(4n) cancels)."""
     if N < 2:
         raise ValueError("N must be >= 2")
-
-    def gamma(t: int) -> Fraction:
-        sign = 1 if (t - 1) % 2 == 0 else -1
-        return cumulant_poly(t).P.evaluate(Fraction(1, 2)) * sign
-
     for n in range(2, N + 1):
-        rhs = Fraction(0)
-        for j in range(n - 1):
-            rhs += binomial(4 * n - 4, 4 * j + 2) * gamma(2 * j + 2) * gamma(2 * n - 2 * j - 2)
-        if gamma(2 * n) != -6 * rhs:
+        rhs = sum(
+            binomial(4 * n - 4, 4 * j + 2) * q_value(2 * j + 2) * q_value(2 * n - 2 * j - 2)
+            for j in range(n - 1)
+        )
+        if q_value(2 * n) != -6 * rhs:
             return False
     return True
 

@@ -7,8 +7,13 @@ evaluation, and the per-modulus ModulusContext bundle.
 
 K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
 sum.  The theta series and the weighted moment series of ``verify`` are all
-the one Gaussian lattice loop ``_gauss_sum``.  ``make_context`` is memoised
-per (k, digits), up to ``_CONTEXT_MEMO`` entries.
+the one Gaussian lattice loop ``_gauss_sum``.
+
+This module alone turns a modulus into numbers: ``parse_modulus`` reads the
+CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
+parses and memoises on the parsed value and the precision, up to
+``_CONTEXT_MEMO`` entries, and ``dual_context`` is the one builder of the
+complementary context.  m = k^2 is formed once, as ``ModulusContext.m``.
 
 Every primitive runs with ``_GUARD`` extra digits (the one definition, which
 the other modules import) so that its relative error stays below
@@ -35,7 +40,10 @@ __all__ = [
     "agm",
     "ellipK",
     "ellipE",
+    "LEMNISCATIC_TOKEN",
+    "parse_modulus",
     "make_context",
+    "dual_context",
     "lemniscatic_context",
     "theta",
     "theta0",
@@ -203,6 +211,18 @@ def pow10(exponent: int, digits: int = DEFAULT_DIGITS) -> HPFloat:
     return hpf(Fraction(10) ** exponent, digits)
 
 
+LEMNISCATIC_TOKEN = "1/sqrt2"
+
+
+def parse_modulus(token: Scalar, digits: int) -> HPFloat:
+    """Parse a modulus: the token '1/sqrt2' exactly, or anything ``hpf``
+    takes.  Only a str is compared with the token, because an HPFloat would
+    coerce the token to a number."""
+    if isinstance(token, str) and token == LEMNISCATIC_TOKEN:
+        return hpf(Fraction(1, 2), digits).sqrt()
+    return hpf(token, digits)
+
+
 # ---------------------------------------------------------------------------
 # AGM and complete elliptic integrals
 # ---------------------------------------------------------------------------
@@ -366,7 +386,7 @@ def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
     """Gamma(1/4) obtained from the lemniscatic AGM only:
     K(1/sqrt2) = pi/(2*agm(1, 1/sqrt2)) and Gamma(1/4) = sqrt(4*sqrt(pi)*K)."""
     pi_h = pi(digits)
-    bigk = pi_h / (2 * agm(1, hpf(Fraction(1, 2), digits).sqrt(), digits))
+    bigk = pi_h / (2 * agm(1, parse_modulus(LEMNISCATIC_TOKEN, digits), digits))
     return (4 * pi_h.sqrt() * bigk).sqrt()
 
 
@@ -379,12 +399,14 @@ def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
 class ModulusContext:
     """All numeric quantities attached to one elliptic modulus k.
 
-    Fields: k, kprime = sqrt(1 - k^2), the four complete integrals K, E,
-    Kprime, Eprime, the nome q = exp(-pi*c) with c = Kprime/K, the theta
-    square z = (2/pi) K, and the variance sigma2 = (K^2/pi^2)(E/K - kprime^2).
+    Fields: k, m = k^2, kprime = sqrt(1 - m), the four complete integrals
+    K, E, Kprime, Eprime, the nome q = exp(-pi*c) with c = Kprime/K, the
+    theta square z = (2/pi) K, and the variance
+    sigma2 = (K^2/pi^2)(E/K - kprime^2).
     """
 
     k: HPFloat
+    m: HPFloat
     kprime: HPFloat
     K: HPFloat
     E: HPFloat
@@ -397,15 +419,20 @@ class ModulusContext:
     digits: int
 
 
-@functools.lru_cache(maxsize=_CONTEXT_MEMO, typed=True)
 def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:
-    """Build the ModulusContext for modulus k at the requested precision,
-    memoised on (k, digits); HPFloat moduli compare by value."""
-    k_h = hpf(k, digits)
-    _require_modulus(k_h)
-    kprime = (1 - k_h * k_h).sqrt()
-    big_k = ellipK(k_h)
-    big_e = ellipE(k_h)
+    """The ModulusContext of modulus k (anything ``parse_modulus`` takes)
+    at the requested precision.  Memoised on the parsed value, so a token,
+    its HPFloat and an equal dual kprime share one context."""
+    return _build_context(parse_modulus(k, digits), digits)
+
+
+@functools.lru_cache(maxsize=_CONTEXT_MEMO)
+def _build_context(k: HPFloat, digits: int) -> ModulusContext:
+    _require_modulus(k)
+    m = k * k
+    kprime = (1 - m).sqrt()
+    big_k = ellipK(k)
+    big_e = ellipE(k)
     big_kp = ellipK(kprime)
     big_ep = ellipE(kprime)
     c = big_kp / big_k
@@ -414,7 +441,8 @@ def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:
     z = big_k * 2 / pi_h
     sigma2 = (big_k * big_k / (pi_h * pi_h)) * (big_e / big_k - kprime * kprime)
     return ModulusContext(
-        k=k_h,
+        k=k,
+        m=m,
         kprime=kprime,
         K=big_k,
         E=big_e,
@@ -428,6 +456,12 @@ def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:
     )
 
 
+def dual_context(ctx: ModulusContext) -> ModulusContext:
+    """The context of the complementary modulus kprime at the same
+    precision; its K is ctx.Kprime."""
+    return make_context(ctx.kprime, ctx.digits)
+
+
 def lemniscatic_context(digits: int = DEFAULT_DIGITS) -> ModulusContext:
     """Context at the self-dual modulus k = 1/sqrt2 (where K = K', q = e^-pi)."""
-    return make_context(hpf(Fraction(1, 2), digits).sqrt(), digits)
+    return make_context(LEMNISCATIC_TOKEN, digits)

@@ -7,9 +7,11 @@ and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
 Both ground-truth series are the kernel's Gaussian lattice loop with a
-weight, over theta3, and every verifier takes its contexts from the memoised
-``make_context``.  One table, ``IDENTITIES``, gives each identity its
-orders, moduli and runner: ``run_suite`` dispatches through it and
+weight, over theta3.  Every modulus verifier takes a ModulusContext and
+reaches the dual modulus through ``dual_context``; the kernel owns the
+modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
+identity its orders, moduli and runner: ``run_suite`` dispatches through it,
+building each context with ``make_context(token, digits)``, and
 ``cells_for`` builds grids from it.
 
 Residuals are reported relative to max(1, |rhs|) because moments grow
@@ -33,9 +35,11 @@ from .numkernel import (
     _GUARD,
     _gauss_sum,
     DEFAULT_DIGITS,
+    LEMNISCATIC_TOKEN,
     DomainError,
     HPFloat,
     ModulusContext,
+    dual_context,
     gamma_quarter,
     hermite,
     hpf,
@@ -62,19 +66,8 @@ __all__ = [
     "cells_for",
     "default_grid",
     "run_suite",
-    "parse_modulus",
     "suite_tolerance",
 ]
-
-LEMNISCATIC_TOKEN = "1/sqrt2"
-
-
-def parse_modulus(token: str, digits: int) -> HPFloat:
-    """Parse a modulus token: a decimal string, or '1/sqrt2' exactly."""
-    if token == LEMNISCATIC_TOKEN:
-        return hpf(Fraction(1, 2), digits).sqrt()
-    return hpf(token, digits)
-
 
 def suite_tolerance(digits: int) -> HPFloat:
     return pow10(8 - digits, digits)
@@ -181,8 +174,7 @@ def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     if n < 0:
         raise DomainError("index must be >= 0")
     lhs = hermite_weighted_series(n, ctx)
-    m = ctx.k * ctx.k
-    r_val = bell_moments(n)[n].R.evaluate(m) if n else hpf(1, ctx.digits)
+    r_val = bell_moments(n)[n].R.evaluate(ctx.m) if n else hpf(1, ctx.digits)
     ratio = (ctx.z * ctx.z) / (2 * ctx.sigma2)
     rhs = ratio ** n * r_val if n else hpf(1, ctx.digits)
     return _report("theorem1", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
@@ -198,14 +190,13 @@ def verify_theorem3(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     if n < 0:
         raise DomainError("index must be >= 0")
     digits = ctx.digits
-    m = ctx.k * ctx.k
     half_z = ctx.z / 2
     half_s = ctx.sigma2 / 2
     polys = bell_moments(n)
     lhs = hpf(0, digits)
     for j in range(n + 1):
         coeff = _convolution_coeff(n, j)
-        r_val = polys[j].R.evaluate(m)
+        r_val = polys[j].R.evaluate(ctx.m)
         term = half_z ** (2 * j) * r_val * half_s ** (n - j) * coeff
         lhs = lhs + term
     rhs = series_moment(n, ctx)
@@ -240,14 +231,13 @@ def verify_romik11(n: int, digits: int = DEFAULT_DIGITS) -> VerificationReport:
     return _report("romik_eq11", n, LEMNISCATIC_TOKEN, digits, lhs, rhs)
 
 
-def verify_variance_symmetry(k, digits: int = DEFAULT_DIGITS, k_token: str = "") -> VerificationReport:
+def verify_variance_symmetry(ctx: ModulusContext, k_token: str = "") -> VerificationReport:
     """Dual-modulus variance relation:
     sigma^2(k)/K^2 + sigma^2(k')/K'^2 = 1/(2 pi K K')."""
-    ctx = make_context(k, digits)
-    dual = make_context(ctx.kprime, digits)
+    dual = dual_context(ctx)
     lhs = ctx.sigma2 / (ctx.K * ctx.K) + dual.sigma2 / (dual.K * dual.K)
-    rhs = 1 / (2 * pi(digits) * ctx.K * dual.K)
-    return _report("variance_symmetry", None, k_token or str(ctx.k), digits, lhs, rhs)
+    rhs = 1 / (2 * pi(ctx.digits) * ctx.K * dual.K)
+    return _report("variance_symmetry", None, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
 
 def verify_lambert_schett(n: int, ctx: ModulusContext, k_token: str = "") -> VerificationReport:
@@ -270,15 +260,14 @@ def verify_jacobi_transform(c_token: str, digits: int = DEFAULT_DIGITS) -> Verif
     return _report("jacobi_transform", None, c_token, digits, lhs, rhs)
 
 
-def verify_legendre(k, digits: int = DEFAULT_DIGITS, k_token: str = "") -> VerificationReport:
+def verify_legendre(ctx: ModulusContext, k_token: str = "") -> VerificationReport:
     """Legendre relation K E' + K' E - K K' = pi/2."""
-    ctx = make_context(k, digits)
     lhs = ctx.K * ctx.Eprime + ctx.Kprime * ctx.E - ctx.K * ctx.Kprime
-    rhs = pi(digits) / 2
-    return _report("legendre", None, k_token or str(ctx.k), digits, lhs, rhs)
+    rhs = pi(ctx.digits) / 2
+    return _report("legendre", None, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
 
-def verify_dual_moment_relation(n: int, k, digits: int = DEFAULT_DIGITS, k_token: str = "") -> VerificationReport:
+def verify_dual_moment_relation(n: int, ctx: ModulusContext, k_token: str = "") -> VerificationReport:
     """Dual-modulus moment relation:
     mu_{2n}(k') = sum_j C(2n,2j) ((2n-2j)!/(n-j)!) (-1)^j (K'/K)^(2j)
                   (delta^2/2)^(n-j) mu_{2j}(k)
@@ -290,11 +279,10 @@ def verify_dual_moment_relation(n: int, k, digits: int = DEFAULT_DIGITS, k_token
     """
     if n < 0:
         raise DomainError("index must be >= 0")
-    ctx = make_context(k, digits)
-    dual = make_context(ctx.kprime, digits)
+    dual = dual_context(ctx)
     lhs = series_moment(n, dual)
     delta2 = dual.sigma2 + ctx.c * ctx.c * ctx.sigma2
-    rhs = hpf(0, digits)
+    rhs = hpf(0, ctx.digits)
     for j in range(n + 1):
         coeff = _convolution_coeff(n, j)
         sign = 1 if j % 2 == 0 else -1
@@ -305,17 +293,7 @@ def verify_dual_moment_relation(n: int, k, digits: int = DEFAULT_DIGITS, k_token
             * (coeff * sign)
         )
         rhs = rhs + term
-    return _report("dual_moment_relation", n, k_token or str(ctx.k), digits, lhs, rhs)
-
-
-def dual_delta_identity_residual(k, digits: int = DEFAULT_DIGITS) -> HPFloat:
-    """Residual of delta^2 = K'/(2 pi K), the closed form the variance
-    symmetry forces for the dual-moment convolution variance."""
-    ctx = make_context(k, digits)
-    dual = make_context(ctx.kprime, digits)
-    delta2 = dual.sigma2 + ctx.c * ctx.c * ctx.sigma2
-    closed = ctx.Kprime / (2 * pi(digits) * ctx.K)
-    return abs(delta2 - closed)
+    return _report("dual_moment_relation", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
 
 def verify_phi_consistency(digits: int = DEFAULT_DIGITS) -> VerificationReport:
@@ -339,31 +317,26 @@ DEFAULT_CS = ("0.37", "1", "2", "5")
 Cell = tuple[str, int | None, str]
 
 
-def _context(token: str, digits: int) -> ModulusContext:
-    return make_context(parse_modulus(token, digits), digits)
-
-
 # identity -> (orders, moduli, runner).  orders (first, cap) runs n over
 # first..min(nmax, cap), cap None meaning nmax; None marks a single cell with
 # no order.  moduli are the identity's fixed tokens, or None for the grid's.
 # A runner takes (n, token, digits) and looks its verifier up when called,
 # so that a wrapper installed on the module attribute sees it.
 IDENTITIES: dict[str, tuple] = {
-    "theorem1": ((0, None), None, lambda n, k, d: verify_theorem1(n, _context(k, d), k)),
-    "theorem3": ((0, None), None, lambda n, k, d: verify_theorem3(n, _context(k, d), k)),
+    "theorem1": ((0, None), None, lambda n, k, d: verify_theorem1(n, make_context(k, d), k)),
+    "theorem3": ((0, None), None, lambda n, k, d: verify_theorem3(n, make_context(k, d), k)),
     "romik_eq11": ((0, None), (LEMNISCATIC_TOKEN,), lambda n, k, d: verify_romik11(n, d)),
     "lambert_schett": (
-        (2, None), None, lambda n, k, d: verify_lambert_schett(n, _context(k, d), k)
+        (2, None), None, lambda n, k, d: verify_lambert_schett(n, make_context(k, d), k)
     ),
     "jacobi_transform": (None, DEFAULT_CS, lambda n, c, d: verify_jacobi_transform(c, d)),
-    "legendre": (None, None, lambda n, k, d: verify_legendre(parse_modulus(k, d), d, k)),
+    "legendre": (None, None, lambda n, k, d: verify_legendre(make_context(k, d), k)),
     "variance_symmetry": (
-        None, None, lambda n, k, d: verify_variance_symmetry(parse_modulus(k, d), d, k)
+        None, None, lambda n, k, d: verify_variance_symmetry(make_context(k, d), k)
     ),
     "phi_consistency": (None, (LEMNISCATIC_TOKEN,), lambda n, k, d: verify_phi_consistency(d)),
     "dual_moment_relation": (
-        (0, 4), None,
-        lambda n, k, d: verify_dual_moment_relation(n, parse_modulus(k, d), d, k),
+        (0, 4), None, lambda n, k, d: verify_dual_moment_relation(n, make_context(k, d), k)
     ),
 }
 

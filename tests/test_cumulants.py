@@ -99,7 +99,7 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dual_modulus_symmetry_residual(self, n):
         # kappa_{2n}(k') = (-1)^n (K'/K)^(2n) kappa_{2n}(k)
-        res = cumulant_symmetry_residual(n, "0.3", 40)
+        res = cumulant_symmetry_residual(n, make_context("0.3", 40))
         assert float(abs(res)) < 1e-32
 
 

@@ -18,6 +18,7 @@ from thetakit.numkernel import (
     HPFloat,
     ModulusContext,
     agm,
+    dual_context,
     ellipE,
     ellipK,
     gamma_quarter,
@@ -329,3 +330,21 @@ class TestModulusContext:
         assert make_context("0.41", 33) is make_context("0.41", 33)
         # moduli compare by value, so an equal HPFloat reaches the same context
         assert make_context(hpf("0.41", 33), 33) is make_context(hpf("0.41", 33), 33)
+
+    def test_token_and_its_value_share_one_context(self):
+        assert make_context("0.41", 33) is make_context(hpf("0.41", 33), 33)
+
+    def test_lemniscatic_token_builds_the_lemniscatic_context(self):
+        assert make_context("1/sqrt2", 30) is lemniscatic_context(30)
+
+    @pytest.mark.parametrize("k", ["0.3", "0.9", "1/sqrt2"])
+    def test_dual_context_K_is_Kprime_bit_for_bit(self, k):
+        ctx = make_context(k, 40)
+        dual = dual_context(ctx)
+        assert dual.digits == ctx.digits
+        assert dual.K.value._mpf_ == ctx.Kprime.value._mpf_
+
+    @pytest.mark.parametrize("k", ["0.3", "1/sqrt2"])
+    def test_m_is_k_squared(self, k):
+        ctx = make_context(k, 40)
+        assert ctx.m.value._mpf_ == (ctx.k * ctx.k).value._mpf_

@@ -13,13 +13,12 @@ from thetakit.numkernel import (
     hpf,
     lemniscatic_context,
     make_context,
+    parse_modulus,
     pow10,
 )
 from thetakit.verify import (
     default_grid,
-    dual_delta_identity_residual,
     hermite_weighted_series,
-    parse_modulus,
     run_suite,
     series_moment,
     suite_tolerance,
@@ -109,18 +108,13 @@ class TestIdentityCells:
         assert verify_jacobi_transform(c, 40).passed
 
     def test_legendre_and_variance(self):
-        k = parse_modulus("0.3", 40)
-        assert verify_legendre(k, 40, "0.3").passed
-        assert verify_variance_symmetry(k, 40, "0.3").passed
+        ctx = make_context("0.3", 40)
+        assert verify_legendre(ctx, "0.3").passed
+        assert verify_variance_symmetry(ctx, "0.3").passed
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_dual_moment_relation(self, n):
-        k = parse_modulus("0.3", 40)
-        assert verify_dual_moment_relation(n, k, 40, "0.3").passed
-
-    def test_dual_delta_closed_form(self):
-        k = parse_modulus("0.6", 40)
-        assert float(abs(dual_delta_identity_residual(k, 40))) < 1e-36
+        assert verify_dual_moment_relation(n, make_context("0.3", 40), "0.3").passed
 
     def test_phi_consistency(self):
         assert verify_phi_consistency(50).passed
@@ -133,7 +127,7 @@ class TestReports:
             rep.passed = False
 
     def test_to_dict_serializes(self):
-        rep = verify_legendre(parse_modulus("0.3", 30), 30, "0.3")
+        rep = verify_legendre(make_context("0.3", 30), "0.3")
         payload = rep.to_dict()
         assert payload["identity"] == "legendre"
         assert payload["passed"] is True
@@ -186,7 +180,7 @@ class TestSuiteRunner:
         calls = []
         ellip_e = numkernel.ellipE
         monkeypatch.setattr(numkernel, "ellipE", lambda k: calls.append(k) or ellip_e(k))
-        make_context.cache_clear()
+        numkernel._build_context.cache_clear()
         run_suite(default_grid(8), digits=30)
         # 0.3, 1/sqrt2 and 0.9, and the duals of 0.3 and 0.9 (the lemniscatic
         # modulus is its own dual)
