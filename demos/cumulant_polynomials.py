@@ -4,7 +4,7 @@ Cumulant polynomials three ways
 
 Builds the even cumulants of the theta-weighted integer distribution as
 exact polynomials in m = k^2, then confirms one of them numerically by two
-independent summation routes (a hyperbolic-sine series and a direct
+independent summation routes (a Lambert series in the nome and a direct
 two-dimensional lattice fold).
 """
 

@@ -5,7 +5,9 @@ Three independent routes to the same quantities:
   exact    kappa_{2n} = (-1)^(n-1) (z/2)^(2n) P_{2n-2}(m), where P_{2p} is
            the binomial self-convolution of reduced Schett evaluations,
            read off the EGF of the square of the sn solution;
-  lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi);
+  lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi)
+                     = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)),
+           q = exp(-pi c) the nome, summed by running products in q;
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
 
@@ -96,21 +98,28 @@ def cumulant_poly(n: int) -> CumulantPoly:
 
 
 def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
-    """Numeric kappa_{2n} by the alternating hyperbolic-sine series,
-    truncated when a term falls below 10^(-digits-5)."""
+    """Numeric kappa_{2n} by the alternating Lambert series in the nome,
+    1/sinh(c r pi) = 2 q^r / (1 - q^(2r)) with q = ctx.q, truncated when a
+    term falls below 10^(-digits-5).  q^r and q^(2r) are running products
+    and r^(2n-1) is an exact int, so no term evaluates a transcendental
+    function or a fresh power."""
     if n < 1:
         raise DomainError("cumulant order index must be >= 1")
     digits = ctx.digits
     with mp.workdps(digits + _GUARD):
-        c = +ctx.c.value
+        q = +ctx.q.value
+        q2 = q * q
         threshold = mp.mpf(10) ** (-digits - 5)
         total = mp.mpf(0)
+        q_r, q_2r = q, q2
         r = 1
         while True:
-            term = mp.mpf(r) ** (2 * n - 1) / mp.sinh(c * r * mp.pi)
+            term = 2 * r ** (2 * n - 1) * q_r / (1 - q_2r)
             total += -term if r % 2 == 0 else term
             if term < threshold:
                 break
+            q_r *= q
+            q_2r *= q2
             r += 1
         return HPFloat(total, digits)
 
@@ -185,7 +194,7 @@ def symmetry_check_P(n: int) -> bool:
 def cumulant_symmetry_residual(n: int, ctx: ModulusContext) -> HPFloat:
     """Numeric residual of the dual-modulus cumulant relation
     kappa_{2n}(k') = (-1)^n (K'/K)^(2n) kappa_{2n}(k), both sides by the
-    hyperbolic-sine series."""
+    Lambert series."""
     if n < 2:
         raise DomainError("dual-modulus relation applies for n >= 2")
     lhs = cumulant_lambert(n, dual_context(ctx))

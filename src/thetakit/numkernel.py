@@ -7,7 +7,8 @@ evaluation, and the per-modulus ModulusContext bundle.
 
 K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
 sum.  The theta series and the weighted moment series of ``verify`` are all
-the one Gaussian lattice loop ``_gauss_sum``.
+the one Gaussian lattice loop ``_gauss_sum``, which steps q^((n+h)^2) by
+running products.
 
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
@@ -290,20 +291,25 @@ def _require_nome(q: HPFloat) -> None:
 
 def _gauss_sum(q, digits: int, weight: Callable[[int], object], half: bool = False):
     """sum_{n in Z} w(n) q^((n+h)^2) for a weight symmetric about -h, with
-    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0.  Stops
-    once two consecutive terms, and their Gaussian factors, fall below
-    10^(-digits-5), so a small weight cannot end the sum early.  Raw mpf in
-    the caller's workdps."""
+    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0.  The
+    Gaussian factors are running products: q^((n+1+h)^2) = q^((n+h)^2) *
+    q^(2n+1+2h), and the step factor gains q^2 per term, so only the half
+    lattice takes a root, q^(1/4), once.  Stops once two consecutive terms,
+    and their Gaussian factors, fall below 10^(-digits-5), so a small weight
+    cannot end the sum early.  Raw mpf in the caller's workdps."""
     threshold = mp.mpf(10) ** (-digits - 5)
-    h = mp.mpf(1) / 2 if half else 0
-    total = mp.mpf(0) if half else mp.mpf(weight(0))
-    n = 0 if half else 1
+    q2 = q * q
+    if half:
+        total, n, gauss, step = mp.mpf(0), 0, mp.sqrt(mp.sqrt(q)), q2
+    else:
+        total, n, gauss, step = mp.mpf(weight(0)), 1, q, q2 * q
     below = 0
     while below < 2:
-        gauss = q ** ((n + h) ** 2)
         term = weight(n) * gauss
         total += 2 * term
         below = below + 1 if max(abs(term), gauss) < threshold else 0
+        gauss *= step
+        step *= q2
         n += 1
     return total
 
@@ -342,21 +348,22 @@ def theta0(i: int, q: HPFloat) -> HPFloat:
 
 def theta3_product(q: HPFloat) -> HPFloat:
     """theta3 by its infinite product (q^2; q^2) (-q; q^2)^2, truncated when
-    the running factor differs from 1 by less than the tail threshold."""
+    the running factor differs from 1 by less than the tail threshold.  The
+    powers q^(2p-1) and q^(2p) are running products in q^2."""
     _require_nome(q)
     digits = q.digits
     with mp.workdps(digits + _GUARD):
         qv = +q.value
         threshold = mp.mpf(10) ** (-digits - 5)
+        q2 = qv * qv
         total = mp.mpf(1)
-        p = 1
+        odd, even = qv, q2
         while True:
-            even = qv ** (2 * p)
-            odd = qv ** (2 * p - 1)
             total *= (1 - even) * (1 + odd) ** 2
             if 2 * odd < threshold:
                 break
-            p += 1
+            odd *= q2
+            even *= q2
         return HPFloat(total, digits)
 
 

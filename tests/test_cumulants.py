@@ -1,7 +1,9 @@
 """Cumulant layer: exact graded polynomials against three numeric routes
-(hyperbolic-sine series, lattice sum, direct grade evaluation)."""
+(Lambert series in the nome, lattice sum, direct grade evaluation), and the
+Lambert series against its hyperbolic-sine form."""
 
 import pytest
+from mpmath import mp
 
 from thetakit.cumulants import (
     CumulantPoly,
@@ -14,7 +16,9 @@ from thetakit.cumulants import (
     symmetry_check_P,
 )
 from thetakit.exactalg import UniPoly
-from thetakit.numkernel import DomainError, hpf, lemniscatic_context, make_context
+from thetakit.numkernel import DomainError, hpf, lemniscatic_context, make_context, theta0
+
+from lambert_oracle import lambert_sinh
 
 KAPPA4_LEMN = "0.060656787177862888435934250149952886976349774397008478988"
 
@@ -135,3 +139,78 @@ class TestLatticeRoute:
             cumulant_eisenstein(1, ctx, 100)
         with pytest.raises(DomainError):
             cumulant_eisenstein(2, ctx, 0)
+
+
+# The sinh oracle runs at digits + ORACLE_EXTRA from the context's own c.
+ORACLE_EXTRA = 60
+ORACLE_NMAX = 8
+LAMBERT_MODULI = ("1e-12", "0.3", "1/sqrt2", "0.9", "0.999999")
+# Near k = 1 the alternating series cancels (c = K'/K is small), so both
+# forms lose digits alike there.
+LAMBERT_CANCELS = ("0.999999999999", "0.99999999999999999999")
+
+
+def _lemniscatic_zero(k, n):
+    # P_{2p}(1 - m) = (-1)^(p-1) P_{2p}(m), so kappa_{2n} = 0 at m = 1/2 for odd n >= 3
+    return k == "1/sqrt2" and n % 2 == 1 and n >= 3
+
+
+def _errors(got, reference, digits):
+    """|got - ref| / |ref| and |got - ref| / (absolute series) per order."""
+    with mp.workdps(digits + ORACLE_EXTRA):
+        out = []
+        for g, (ref, size) in zip(got, reference):
+            err = abs(g.value - ref.value)
+            out.append((err / abs(ref.value) if ref.value else mp.inf, err / size.value))
+        return out
+
+
+class TestLambertAgainstSinhOracle:
+    @pytest.mark.parametrize("digits", [30, 50, 500])
+    @pytest.mark.parametrize("k", LAMBERT_MODULI)
+    def test_relative_error(self, k, digits):
+        ctx = make_context(k, digits)
+        got = [cumulant_lambert(n, ctx) for n in range(1, ORACLE_NMAX + 1)]
+        reference = lambert_sinh(ORACLE_NMAX, ctx.c, digits + ORACLE_EXTRA)
+        bound = mp.mpf(10) ** (2 - digits)
+        for n, (rel, to_size) in enumerate(_errors(got, reference, digits), start=1):
+            # an exact zero has no relative error: measure it against the absolute series
+            assert (to_size if _lemniscatic_zero(k, n) else rel) <= bound, (n, rel, to_size)
+
+    @pytest.mark.parametrize("digits", [30, 50, 500])
+    @pytest.mark.parametrize("k", LAMBERT_CANCELS)
+    def test_cancelling_series_no_worse_than_sinh_form(self, k, digits):
+        ctx = make_context(k, digits)
+        got = [cumulant_lambert(n, ctx) for n in range(1, ORACLE_NMAX + 1)]
+        same_digits = [v for v, _ in lambert_sinh(ORACLE_NMAX, ctx.c, digits)]
+        reference = lambert_sinh(ORACLE_NMAX, ctx.c, digits + ORACLE_EXTRA)
+        ours = _errors(got, reference, digits)
+        theirs = _errors(same_digits, reference, digits)
+        # per order both errors are rounding noise amplified by the cancellation,
+        # so compare the worst order of each form
+        assert max(rel for rel, _ in ours) <= 10 * max(rel for rel, _ in theirs)
+        bound = mp.mpf(10) ** (2 - digits)
+        assert all(to_size <= bound for _, to_size in ours)
+
+
+class TestNoTranscendentalPerTerm:
+    """The series loops step their powers of q by running products: no term
+    evaluates sinh, cosh, exp or log, nor raises an mpf to a power."""
+
+    def test_lambert_and_theta_loops(self, monkeypatch):
+        ctx = make_context("0.9", 500)  # built before the patch: contexts do use exp
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transcendental function inside a series loop")
+
+        for name in ("sinh", "cosh", "exp", "log"):
+            monkeypatch.setattr(mp, name, forbidden)
+        mpf_type = type(ctx.q.value)
+        powers = []
+        mpf_pow = mpf_type.__pow__
+        monkeypatch.setattr(mpf_type, "__pow__", lambda x, y: powers.append(y) or mpf_pow(x, y))
+        cumulant_lambert(8, ctx)
+        theta0(3, ctx.q)
+        theta0(2, ctx.q)
+        # one power each, for the 10^(-digits-5) threshold
+        assert len(powers) <= 3

@@ -6,6 +6,7 @@ import json
 from itertools import groupby
 
 import pytest
+from mpmath import mp
 
 from thetakit import numkernel
 from thetakit.numkernel import (
@@ -69,6 +70,60 @@ class TestGroundTruthSeries:
     def test_rejects_negative_index(self, ctx06):
         with pytest.raises(DomainError):
             series_moment(-1, ctx06)
+
+
+# The oracle for the kernel's running products: every Gaussian factor a fresh
+# power q ** (p*p), at digits + GAUSS_EXTRA from the context's own q.
+GAUSS_EXTRA = 60
+GAUSS_MODULI = ("1e-8", "1e-4", "0.1", "0.5", "1/sqrt2", "0.9", "0.999999", "0.999999999999999")
+
+
+def _direct_lattice(weight, q, digits):
+    """sum_p w(p) q^(p^2) over p in Z for an even weight, stopped once two
+    consecutive terms are below 10^(-digits) of the sum."""
+    eps = mp.mpf(10) ** (-digits)
+    total, p, below = mp.mpf(weight(0)), 1, 0
+    while below < 2:
+        gauss = q ** (p * p)
+        term = 2 * weight(p) * gauss
+        total += term
+        below = below + 1 if max(abs(term), gauss) < eps * abs(total) else 0
+        p += 1
+    return total
+
+
+def _hermite_vanishes(k, n):
+    """The Hermite-weighted series is 0 at n = 1 (sigma^2 is the second
+    moment) and, at k = 1/sqrt2, at every odd n (R_2n(1/2) = 0)."""
+    return n == 1 or (k == "1/sqrt2" and n % 2 == 1)
+
+
+class TestGaussianSumAgainstDirectPowers:
+    @pytest.mark.parametrize("digits", [20, 30, 50, 137])
+    @pytest.mark.parametrize("k", GAUSS_MODULI)
+    def test_moment_and_hermite_series(self, k, digits):
+        ctx = make_context(k, digits)
+        moments = [series_moment(n, ctx).value for n in range(9)]
+        hermites = [hermite_weighted_series(n, ctx).value for n in range(9)]
+        bound = mp.mpf(10) ** (2 - digits)
+        with mp.workdps(digits + GAUSS_EXTRA):
+            work = digits + GAUSS_EXTRA
+            q = ctx.q.value
+            scale = mp.sqrt(2 * ctx.sigma2.value)
+            theta3 = _direct_lattice(lambda p: 1, q, work)
+            for n in range(9):
+                moment = _direct_lattice(lambda p: mp.mpf(p) ** (2 * n), q, work) / theta3
+                assert abs(moments[n] - moment) <= bound * moment, ("moment", n, moments[n], moment)
+
+                def h(p):
+                    return mp.hermite(2 * n, p / scale)
+
+                hermite = _direct_lattice(h, q, work) / theta3
+                if _hermite_vanishes(k, n):  # no relative error: measure against the absolute series
+                    size = _direct_lattice(lambda p: abs(h(p)), q, work) / theta3
+                else:
+                    size = abs(hermite)
+                assert abs(hermites[n] - hermite) <= bound * size, ("hermite", n, hermites[n], hermite)
 
 
 class TestIdentityCells:
