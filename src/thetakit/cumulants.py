@@ -7,7 +7,9 @@ Three independent routes to the same quantities:
            read off the EGF of the square of the sn solution;
   lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi)
                      = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)),
-           q = exp(-pi c) the nome, summed by running products in q;
+           q = exp(-pi c) the nome; the factors 2 q^r / (1 - q^(2r)) are
+           one table per context, filled by running products in q and
+           shared by every order;
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
 
@@ -97,29 +99,48 @@ def cumulant_poly(n: int) -> CumulantPoly:
     return CumulantPoly(n=n, P=p_poly(n - 1), sign=sign)
 
 
+class _LambertFactors:
+    """The factors f_r = 2 q^r / (1 - q^(2r)) of one context, r = 1, 2, ...,
+    appended on demand by running products for q^r and q^(2r).  Raw mpf in
+    the caller's workdps, which is always the context's digits + _GUARD."""
+
+    __slots__ = ("q", "q2", "q_r", "q_2r", "values")
+
+    def __init__(self, q) -> None:
+        self.q, self.q2 = q, q * q
+        self.q_r, self.q_2r = q, self.q2
+        self.values: list = []
+
+    def __getitem__(self, r: int):
+        values = self.values
+        while len(values) < r:
+            values.append(2 * self.q_r / (1 - self.q_2r))
+            self.q_r *= self.q
+            self.q_2r *= self.q2
+        return values[r - 1]
+
+
 def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
     """Numeric kappa_{2n} by the alternating Lambert series in the nome,
-    1/sinh(c r pi) = 2 q^r / (1 - q^(2r)) with q = ctx.q, truncated when a
-    term falls below 10^(-digits-5).  q^r and q^(2r) are running products
-    and r^(2n-1) is an exact int, so no term evaluates a transcendental
-    function or a fresh power."""
+    sum_r (-1)^(r-1) r^(2n-1) f_r with f_r = 1/sinh(c r pi) = 2 q^r / (1 - q^(2r))
+    and q = ctx.q, truncated when a term falls below 10^(-digits-5).  The
+    factors f_r are one table per context, shared by every order and grown
+    by running products to the longest order asked, and r^(2n-1) is an exact
+    int, so no term evaluates a transcendental function or a fresh power and
+    a repeated order divides nothing."""
     if n < 1:
         raise DomainError("cumulant order index must be >= 1")
     digits = ctx.digits
     with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        q2 = q * q
+        factors = ctx._once("lambert", lambda: _LambertFactors(+ctx.q.value))
         threshold = mp.mpf(10) ** (-digits - 5)
         total = mp.mpf(0)
-        q_r, q_2r = q, q2
         r = 1
         while True:
-            term = 2 * r ** (2 * n - 1) * q_r / (1 - q_2r)
+            term = r ** (2 * n - 1) * factors[r]
             total += -term if r % 2 == 0 else term
             if term < threshold:
                 break
-            q_r *= q
-            q_2r *= q2
             r += 1
         return HPFloat(total, digits)
 

@@ -15,6 +15,9 @@ CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
 parses and memoises on the parsed value and the precision, up to
 ``_CONTEXT_MEMO`` entries, and ``dual_context`` is the one builder of the
 complementary context.  m = k^2 is formed once, as ``ModulusContext.m``.
+Series sums that depend on the context alone (theta3, the Lambert factors,
+the moments) are kept with it through ``ModulusContext._once``, so the
+context memo bounds them and clearing it drops them.
 
 Every primitive runs with ``_GUARD`` extra digits (the one definition, which
 the other modules import) so that its relative error stays below
@@ -24,7 +27,7 @@ the other modules import) so that its relative error stays below
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -409,7 +412,8 @@ class ModulusContext:
     Fields: k, m = k^2, kprime = sqrt(1 - m), the four complete integrals
     K, E, Kprime, Eprime, the nome q = exp(-pi*c) with c = Kprime/K, the
     theta square z = (2/pi) K, and the variance
-    sigma2 = (K^2/pi^2)(E/K - kprime^2).
+    sigma2 = (K^2/pi^2)(E/K - kprime^2).  ``_series`` holds what the
+    series layers sum once per context; it is not part of the value.
     """
 
     k: HPFloat
@@ -424,6 +428,13 @@ class ModulusContext:
     z: HPFloat
     sigma2: HPFloat
     digits: int
+    _series: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def _once(self, key, compute: Callable[[], object]):
+        """The value kept under key, from compute() on first use."""
+        if key not in self._series:
+            self._series[key] = compute()
+        return self._series[key]
 
 
 def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:

@@ -7,7 +7,8 @@ and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
 Both ground-truth series are the kernel's Gaussian lattice loop with a
-weight, over theta3.  Every modulus verifier takes a ModulusContext and
+weight, over theta3; theta3 and the moments are summed once per context and
+kept with it.  Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
 identity its orders, moduli and runner: ``run_suite`` dispatches through it,
@@ -132,21 +133,30 @@ def _report(identity: str, n: int | None, k_token: str, digits: int,
 # ---------------------------------------------------------------------------
 
 
+def _theta3(ctx: ModulusContext) -> HPFloat:
+    """theta3(q) by its series, summed once per context and kept with it."""
+    return ctx._once("theta3", lambda: theta0(3, ctx.q))
+
+
 def _weighted_series(weight: Callable[[int], object], ctx: ModulusContext) -> HPFloat:
     """sum_p w(p) q^(p^2) / theta3(q) for an even weight w returning raw mpf
-    values."""
+    values.  The normaliser theta3 is the context's one theta series sum,
+    shared by every weight and order."""
     digits = ctx.digits
     with mp.workdps(digits + _GUARD):
         total = _gauss_sum(+ctx.q.value, digits, weight)
-        return HPFloat(total / +theta0(3, ctx.q).value, digits)
+        return HPFloat(total / +_theta3(ctx).value, digits)
 
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
     """Moment of order 2n by direct summation of the weighted series
-    sum_p p^(2n) q^(p^2) normalized by theta3(q)."""
+    sum_p p^(2n) q^(p^2) normalized by theta3(q), summed once per order and
+    context and kept with the context."""
     if n < 0:
         raise DomainError("moment index must be >= 0")
-    return _weighted_series(lambda p: mp.mpf(p) ** (2 * n), ctx)
+    return ctx._once(
+        ("moment", n), lambda: _weighted_series(lambda p: mp.mpf(p) ** (2 * n), ctx)
+    )
 
 
 def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
@@ -303,7 +313,7 @@ def verify_phi_consistency(digits: int = DEFAULT_DIGITS) -> VerificationReport:
     ctx = lemniscatic_context(digits)
     pi_h = pi(digits)
     lhs = 4 * pi_h * pi_h * cumulant_lambert(2, ctx)
-    rhs = pi_h * pi_h * theta0(3, ctx.q) ** 8 / 8
+    rhs = pi_h * pi_h * _theta3(ctx) ** 8 / 8
     return _report("phi_consistency", None, LEMNISCATIC_TOKEN, digits, lhs, rhs)
 
 

@@ -5,6 +5,7 @@ Lambert series against its hyperbolic-sine form."""
 import pytest
 from mpmath import mp
 
+from thetakit import numkernel
 from thetakit.cumulants import (
     CumulantPoly,
     cumulant_eisenstein,
@@ -193,12 +194,35 @@ class TestLambertAgainstSinhOracle:
         assert all(to_size <= bound for _, to_size in ours)
 
 
+class TestLambertTableOrder:
+    """One factor table per context serves every order: kappa_{2n} must not
+    depend on which order grew the table, nor on whether it was warm."""
+
+    @pytest.mark.parametrize("digits", [30, 500])
+    @pytest.mark.parametrize("k", ("1e-12", "0.3", "1/sqrt2", "0.9"))
+    def test_bit_identical_in_any_order(self, k, digits):
+        orders = range(1, ORACLE_NMAX + 1)
+        numkernel._build_context.cache_clear()
+        ctx = make_context(k, digits)
+        upward = [cumulant_lambert(n, ctx).value._mpf_ for n in orders]
+        numkernel._build_context.cache_clear()
+        ctx = make_context(k, digits)
+        downward = [cumulant_lambert(n, ctx).value._mpf_ for n in reversed(orders)][::-1]
+        warm = [cumulant_lambert(n, ctx).value._mpf_ for n in orders]
+        assert upward == downward == warm
+
+
 class TestNoTranscendentalPerTerm:
     """The series loops step their powers of q by running products: no term
-    evaluates sinh, cosh, exp or log, nor raises an mpf to a power."""
+    evaluates sinh, cosh, exp or log, nor raises an mpf to a power.  The
+    Lambert factors are filled once per context, so a repeated order
+    divides nothing."""
 
     def test_lambert_and_theta_loops(self, monkeypatch):
-        ctx = make_context("0.9", 500)  # built before the patch: contexts do use exp
+        # a cold context, built before the patch (contexts do use exp), so
+        # that its Lambert table is filled under the patch
+        numkernel._build_context.cache_clear()
+        ctx = make_context("0.9", 500)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("transcendental function inside a series loop")
@@ -206,11 +230,19 @@ class TestNoTranscendentalPerTerm:
         for name in ("sinh", "cosh", "exp", "log"):
             monkeypatch.setattr(mp, name, forbidden)
         mpf_type = type(ctx.q.value)
-        powers = []
-        mpf_pow = mpf_type.__pow__
+        powers, divisions = [], []
+        mpf_pow, mpf_div = mpf_type.__pow__, mpf_type.__truediv__
         monkeypatch.setattr(mpf_type, "__pow__", lambda x, y: powers.append(y) or mpf_pow(x, y))
-        cumulant_lambert(8, ctx)
+        monkeypatch.setattr(
+            mpf_type, "__truediv__", lambda x, y: divisions.append(y) or mpf_div(x, y)
+        )
+        cold = cumulant_lambert(8, ctx)
+        filled = len(divisions)
+        warm = cumulant_lambert(8, ctx)
+        assert filled > 0, "the factor table was not filled under the patch"
+        assert len(divisions) == filled, "a repeated order divided again"
+        assert warm.value == cold.value
         theta0(3, ctx.q)
         theta0(2, ctx.q)
         # one power each, for the 10^(-digits-5) threshold
-        assert len(powers) <= 3
+        assert len(powers) <= 4

@@ -8,7 +8,7 @@ from itertools import groupby
 import pytest
 from mpmath import mp
 
-from thetakit import numkernel
+from thetakit import numkernel, verify
 from thetakit.numkernel import (
     DomainError,
     hpf,
@@ -175,6 +175,34 @@ class TestIdentityCells:
         assert verify_phi_consistency(50).passed
 
 
+class TestNormaliserCanFail:
+    """theta3 is summed once per context and divides every ground-truth
+    series, so a wrong stored theta3 must fail the cells that use it."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        numkernel._build_context.cache_clear()
+        yield
+        numkernel._build_context.cache_clear()  # drop the perturbed context
+
+    @staticmethod
+    def _cells(ctx):
+        return [verify_theorem1(n, ctx, "0.9") for n in range(9)], [
+            verify_theorem3(n, ctx, "0.9") for n in range(9)
+        ]
+
+    def test_perturbed_theta3_fails_theorem1_and_theorem3(self):
+        theorem1, theorem3 = self._cells(make_context("0.9", 50))
+        assert all(r.passed for r in theorem1 + theorem3)
+        numkernel._build_context.cache_clear()  # a context with no moment summed yet
+        ctx = make_context("0.9", 50)
+        ctx._series["theta3"] = verify._theta3(ctx) * (1 + pow10(-40, 50))
+        theorem1, theorem3 = self._cells(ctx)
+        # the Hermite series vanishes at n = 1, so a relative error cannot show there
+        assert not any(r.passed for r in theorem1 if r.n != 1)
+        assert not any(r.passed for r in theorem3)
+
+
 class TestReports:
     def test_report_is_frozen(self):
         rep = verify_phi_consistency(30)
@@ -240,6 +268,16 @@ class TestSuiteRunner:
         # 0.3, 1/sqrt2 and 0.9, and the duals of 0.3 and 0.9 (the lemniscatic
         # modulus is its own dual)
         assert len(calls) == 2 * 5
+
+    def test_suite_sums_theta3_once_per_context(self, monkeypatch):
+        calls = []
+        theta0 = verify.theta0
+        monkeypatch.setattr(verify, "theta0", lambda i, q: calls.append(i) or theta0(i, q))
+        numkernel._build_context.cache_clear()
+        run_suite(default_grid(8), digits=30)
+        # theta3 once for each of 0.3, 1/sqrt2 and 0.9 (the duals sum no
+        # series), and both sides of each of the four jacobi_transform cells
+        assert len(calls) == 3 + 2 * 4
 
     def test_context_cache_reuses_token(self):
         # two cells with the same token must agree bit for bit
