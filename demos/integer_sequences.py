@@ -3,9 +3,13 @@ Integer sequences from moment polynomials
 =========================================
 
 The even moments of the theta-weighted integer distribution are exact
-polynomials R_{2n}(m) once the variance is factored out.  Evaluating them
-at the self-dual point m = 1/2 produces integer sequences; this script
-generates them and checks the scaling conjectures for small prime moduli.
+polynomials R_{2n}(m) once the variance is factored out.  Their values at
+the self-dual point m = 1/2 are integer sequences, and their values at
+m = 1/p obey scaling conjectures for small p.  The sequences are computed at
+the point itself: the sn recurrence, the cumulants and the Bell recursion
+run on the one value of m, with no polynomial built.  The polynomials are
+printed first for scale, and evaluating one of them by hand at the end
+gives the same number by the other route.
 """
 
 from fractions import Fraction
@@ -49,7 +53,7 @@ print(f"A_0..A_5:                         {a_sequence(5)}")
 print(f"cumulant recurrence closes through order 16: {kappa_recurrence_check(8)}")
 
 print()
-print("== a moment by hand, for scale ==")
+print("== a moment by hand, by the polynomial route ==")
 r8 = bell_moments(4)[4].R
 print(f"R_8(1/2) = {r8.evaluate(Fraction(1, 2))}, so d(2) = 4 * that"
-      f" = {r8.evaluate(Fraction(1, 2)) * 4}")
+      f" = {r8.evaluate(Fraction(1, 2)) * 4}, as the point route gave above")

@@ -28,7 +28,7 @@ from mpmath import mp
 from .combinatorics import reconcile_thm11
 from .cumulants import p_poly
 from .exactalg import ConsistencyError, schett_reduced
-from .moments import bell_moments, conjecture_check, d_sequence, q_from_a, q_value
+from .moments import bell_moments, conjecture_check, d_sequence, q_from_a, q_sequence
 from .numkernel import DEFAULT_DIGITS, DomainError, parse_modulus
 from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, cells_for, run_suite
 
@@ -92,10 +92,11 @@ def _cmd_sequences(args) -> int:
     elif which == "q":
         ints = q_from_a(args.count)
         # cross-check the recurrence route against the cumulant grading route
-        for n in range(1, min(args.count, 8) + 1):
-            if ints[n - 1] != q_value(2 * n):
+        grading = q_sequence(min(args.count, 8))[::2]  # Q_4, Q_8, ...
+        for n, q in enumerate(grading, start=1):
+            if ints[n - 1] != q:
                 raise ConsistencyError(
-                    f"Q_{4 * n}: recurrence gives {ints[n - 1]}, grading gives {q_value(2 * n)}"
+                    f"Q_{4 * n}: recurrence gives {ints[n - 1]}, grading gives {q}"
                 )
         terms = [str(v) for v in ints]
         params = {"count": args.count}

@@ -7,6 +7,15 @@ the integrality-conjecture explorer, the Q sequence with two independent
 recurrences, and three mutually independent moment-from-cumulant formulas
 (plain recurrence, Hessenberg determinant, set-partition sum).
 
+Two routes reach the exact moments.  The polynomial route (bell_moments,
+cumulants.p_poly) builds R_{2n} and P_{2p} in Z[m] and serves the
+polynomial tables and the numeric checks.  The sequences d, d_p, the
+integrality table and Q are values at one rational point m = a/b, so they
+take the point route: it specialises to m first and runs the sn ODE, the
+cumulants and the Bell recursion on integers.  The two routes share no code
+beyond math.comb, and the polynomial route is the point route's oracle in
+the tests.
+
 Grading convention: the exact pipeline works in Z[m]; a value of grade 2n
 carries an implicit transcendental factor (z/2)^(2n).  Because the order-2
 cumulant is not polynomial in m, the exact grade excludes it; exact moments
@@ -99,14 +108,64 @@ def bell_moments(N: int) -> list[MomentPoly]:
     return [MomentPoly(n=n, R=mu[2 * n]) for n in range(N + 1)]
 
 
+# The point route.  A polynomial of degree g in Z[m], taken at m = a/b in
+# lowest terms, is an integer once multiplied by b^g, so every step keeps
+# b^g times its value and stays in the integers: 2m - 1 acts as 2a - b,
+# 2m(1 - m) as 2a(b - a) and -m(1 - m) as -a(b - a).  Only the results are
+# divided by b^g.
+
+
+def _point_cumulants(m: Fraction, count: int) -> list[int]:
+    """b^(p+1) P_{2p}(m) for p = 0..count-1 (count >= 1), where m = a/b.
+
+    The nonzero EGF coefficients of the sn solution
+    Y'' = (2m-1) Y - 2m(1-m) Y^3, Y(0) = 0, Y'(0) = 1, scaled by b^degree:
+    s[n] = Y^(2n+1)(0) of degree n, w[p] = [Y^2]_{2p} of degree p - 1 and
+    v = [Y^3]_{2n+1} of degree n - 1, with
+        w[p] = sum_i C(2p, 2i+1) s[i] s[p-1-i],
+        v    = sum_j C(2n+1, 2j+1) s[j] w[n-j],
+        s[n+1] = (2a - b) s[n] - 2a(b - a) v,
+    and P_{2p} = -m(1-m) [Y^2]_{2p}.
+    """
+    a, b = m.numerator, m.denominator
+    s, w = [1], [0]
+    while len(w) < count:
+        p = len(w)
+        if p >= 2:  # s[p-1], the last one w[p] needs
+            n = p - 2
+            v = sum(math.comb(2 * n + 1, 2 * j + 1) * s[j] * w[n - j] for j in range(n))
+            s.append((2 * a - b) * s[n] - 2 * a * (b - a) * v)
+        w.append(sum(math.comb(2 * p, 2 * i + 1) * s[i] * s[p - 1 - i] for i in range(p)))
+    return [-a * (b - a) * x for x in w]
+
+
+def _point_moments(m: Fraction, N: int) -> list[Fraction]:
+    """R_{2n}(m) for n = 0..N.
+
+    The graded cumulants kappa_{2n} = (-1)^(n-1) P_{2n-2}(m), n >= 2 (the
+    variance is outside the exact grade), go through the even-order Bell
+    recursion R_{2n} = kappa_{2n} + sum_i C(2n-1, 2i-1) kappa_{2i} R_{2n-2i}
+    on b^n times each value.
+    """
+    b = m.denominator
+    scaled_p = _point_cumulants(m, max(N, 1))
+    kappa = [0, 0] + [(-1) ** (n - 1) * scaled_p[n - 1] for n in range(2, N + 1)]
+    r = [1]
+    for n in range(1, N + 1):
+        acc = sum(math.comb(2 * n - 1, 2 * i - 1) * kappa[i] * r[n - i] for i in range(2, n))
+        r.append(kappa[n] + acc)
+    return [Fraction(x, b ** n) for n, x in enumerate(r)]
+
+
 def d_sequence(N: int) -> list[int]:
-    """The integer sequence d(n) = 2^n R_{4n}(1/2) for n = 1..N."""
+    """The integer sequence d(n) = 2^n R_{4n}(1/2) for n = 1..N, by the
+    point route at m = 1/2 (bell_moments is its oracle in the tests)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    polys = bell_moments(2 * N)
+    values = _point_moments(Fraction(1, 2), 2 * N)
     out: list[int] = []
     for n in range(1, N + 1):
-        value = polys[2 * n].R.evaluate(Fraction(1, 2)) * 2 ** n
+        value = values[2 * n] * 2 ** n
         if value.denominator != 1:
             raise ConsistencyError(f"d({n}) = {value} is not an integer")
         out.append(value.numerator)
@@ -114,14 +173,13 @@ def d_sequence(N: int) -> list[int]:
 
 
 def dk_sequence(p: int, N: int) -> list[Fraction]:
-    """Exact rational values R_{4n}(1/p) for n = 0..N (modulus 1/sqrt(p))."""
+    """Exact rational values R_{4n}(1/p) for n = 0..N (modulus 1/sqrt(p)), by
+    the point route at m = 1/p (bell_moments is its oracle in the tests)."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if N < 0:
         raise ValueError("N must be >= 0")
-    polys = bell_moments(2 * N)
-    point = Fraction(1, p)
-    return [polys[2 * n].R.evaluate(point) for n in range(N + 1)]
+    return _point_moments(Fraction(1, p), 2 * N)[::2]
 
 
 # Scaling prefactors alpha_m for the integrality table, keyed by p.  Each
@@ -169,6 +227,20 @@ def _factorize(x: int) -> dict[int, int]:
     return out
 
 
+def _denominator_factors(denominator: int, p: int) -> dict[int, int]:
+    """Prime factorization of the denominator of R_{4m}(1/p).  R_{4m} lies
+    in Z[m], so the denominator divides a power of p: p is factored, not the
+    denominator, and each prime of p is divided out of it."""
+    out: dict[int, int] = {}
+    for prime in _factorize(p):
+        while denominator % prime == 0:
+            out[prime] = out.get(prime, 0) + 1
+            denominator //= prime
+    if denominator != 1:
+        raise ConsistencyError(f"a denominator at m = 1/{p} has the factor {denominator}")
+    return out
+
+
 def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
     """Scaled integrality rows for m = 1..N at modulus 1/sqrt(p)."""
     if p < 2:
@@ -182,6 +254,7 @@ def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
         value = values[m]
         alpha = None if alpha_fn is None else alpha_fn(m)
         scaled = None if alpha is None else alpha * value
+        factors = _denominator_factors(value.denominator, p) if scaled is None else None
         rows.append(
             ConjectureRow(
                 p=p,
@@ -190,35 +263,38 @@ def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
                 alpha=alpha,
                 scaled=scaled,
                 is_integer=None if scaled is None else scaled.denominator == 1,
-                denominator_factors=_factorize(value.denominator) if scaled is None else None,
+                denominator_factors=factors,
             )
         )
     return rows
 
 
+def _q_values(top: int) -> list[int]:
+    """Q_{2n} for n = 0..top from one point table at m = 1/2, where the
+    scaled value 2^n P_{2n-2}(1/2) is already the integer (-1)^(n-1) Q_{2n}
+    (Q_0 and Q_2 read 0: neither is in the exact grade)."""
+    scaled_p = _point_cumulants(Fraction(1, 2), top)
+    return [0] + [(-1) ** (n - 1) * scaled_p[n - 1] for n in range(1, top + 1)]
+
+
 def q_value(n: int) -> int:
     """Q_{2n}, the cumulant coefficient in the self-dual grading
-    kappa_{2n} = (z/(2 sqrt 2))^(2n) Q_{2n}; equals (-1)^(n-1) 2^n P_{2n-2}(1/2)."""
+    kappa_{2n} = (z/(2 sqrt 2))^(2n) Q_{2n}; equals (-1)^(n-1) 2^n P_{2n-2}(1/2),
+    by the point route at m = 1/2 (p_poly is its oracle in the tests)."""
     if n < 2:
         raise ValueError("Q is defined for order >= 4")
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    value = cumulant_poly(n).P.evaluate(Fraction(1, 2)) * sign * 2 ** n
-    if value.denominator != 1:
-        raise ConsistencyError(f"Q_{2 * n} = {value} is not an integer")
-    return value.numerator
+    return _q_values(n)[n]
 
 
 def q_sequence(N: int) -> list[int]:
     """Q_{2n} for 2n = 4, 6, ..., 4N; asserts the 4l+2 entries vanish."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    out: list[int] = []
-    for n in range(2, 2 * N + 1):
-        q = q_value(n)
-        if n % 2 == 1 and q != 0:
-            raise ConsistencyError(f"Q_{2 * n} = {q}, expected 0 at order 4l+2")
-        out.append(q)
-    return out
+    q = _q_values(2 * N)
+    for n in range(3, 2 * N + 1, 2):
+        if q[n] != 0:
+            raise ConsistencyError(f"Q_{2 * n} = {q[n]}, expected 0 at order 4l+2")
+    return q[2:]
 
 
 def a_sequence(N: int) -> list[int]:
@@ -244,16 +320,17 @@ def q_from_a(N: int) -> list[int]:
 def kappa_recurrence_check(N: int) -> bool:
     """Exact check of the self-dual quadratic cumulant recurrence
     kappa_{4n} = -6 sum_{j=0}^{n-2} C(4n-4, 4j+2) kappa_{4j+4} kappa_{4n-4j-4}
-    for 2 <= n <= N, on the integers Q_{4n} = q_value(2n) (the common
+    for 2 <= n <= N, on the integers Q_{4n} of one point table (the common
     factor (z/(2 sqrt 2))^(4n) cancels)."""
     if N < 2:
         raise ValueError("N must be >= 2")
+    q = _q_values(2 * N)
     for n in range(2, N + 1):
         rhs = sum(
-            binomial(4 * n - 4, 4 * j + 2) * q_value(2 * j + 2) * q_value(2 * n - 2 * j - 2)
+            binomial(4 * n - 4, 4 * j + 2) * q[2 * j + 2] * q[2 * n - 2 * j - 2]
             for j in range(n - 1)
         )
-        if q_value(2 * n) != -6 * rhs:
+        if q[2 * n] != -6 * rhs:
             return False
     return True
 

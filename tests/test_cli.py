@@ -2,10 +2,12 @@
 serialization round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 from itertools import groupby
 
 import pytest
@@ -269,6 +271,18 @@ class TestConjecture:
         code, _, err = run_cli("conjecture", "--p", "1", "--count", "3", capsys=capsys)
         assert code == 2
 
+    def test_large_prime_p_factors_quickly(self, capsys):
+        # the denominators divide a power of p, so only p is factored; trial
+        # division of p^4 up to its square root would take minutes
+        start = time.perf_counter()
+        code, out, _ = run_cli("conjecture", "--p", "100000007", "--count", "2", capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].startswith("  m=1  ") and lines[1].endswith("denominator=100000007^2")
+        assert lines[2].startswith("  m=2  ") and lines[2].endswith("denominator=100000007^4")
+        assert elapsed < 2.0
+
 
 class TestReconcile:
     def test_winner_and_exit_zero(self, capsys):
@@ -287,6 +301,51 @@ class TestReconcile:
         payload = json.loads(out)
         assert payload["winner"] == {"exponents": "(j+1, n-j)", "sign": "(-1)^j"}
         assert len(payload["verdicts"]) == 12
+
+
+# sha256 of the --format json output and the exit code of the exact
+# commands, recorded before the sequences moved to the point route; any byte
+# drift in the exact layer fails here. Every pinned command exits 0.
+PINNED_JSON = {
+    "sequences d --count 20":
+        "7107004cda38c147faf69aab58895638d63bcb5441cb742b62f69af7f27fa497",
+    "conjecture --p 3 --count 12":
+        "45441acf1d976164bd461edc10608313412abbbff020666da43528248e5ccf2f",
+    "conjecture --p 4 --count 12":
+        "2cf01b4a65c5752e1461a8269ee2e7d218c5c0bffabbc28a356b9cb546aceedf",
+    "conjecture --p 5 --count 12":
+        "58510244ecc2ad01d8b351beffd4e895255dd4fbfd2c47b764fcc039918fb9fd",
+    "conjecture --p 6 --count 12":
+        "ed52eeba37d25cb089b4d216731bc034986ccd777ddfe3cfd126691add5f62ca",
+    "conjecture --p 7 --count 12":
+        "845b65178e54142593f667396f39b44951150556375017b451e8257c8bd2ab45",
+    "sequences dk --p 2 --count 8 --scaled":
+        "65f643a87ebc1149c0fc0d93d10b76103e65b4459a6a9e706d3fa2ecf1f36c4e",
+    "sequences dk --p 3 --count 8 --scaled":
+        "14a27dd154d393c3f79005eea4bac9601fa963cc04566e9623843a19cc491b0c",
+    "sequences dk --p 4 --count 8 --scaled":
+        "bfd117f7546c8ae24067dcaeb42a3cae8de595d64fc11114333cb5adf72bf420",
+    "sequences dk --p 5 --count 8 --scaled":
+        "275bf6ec8923f63880d1742a6fb455d9cc3bfbd3d7aa083625e0f95831d87315",
+    "sequences dk --p 6 --count 8 --scaled":
+        "0c16023dcff485a1537192f72a8a401e6e54551ba0f05ea0a3d56e4d85ad6298",
+    "sequences dk --p 7 --count 8 --scaled":
+        "4df26fec2dbcb92359f29a5518e03e64e7899c82faabdc4c4a1b17add8dbc6bd",
+    "sequences q --count 30":
+        "afdc54253b385960ac2993634d07c59a084b9b3ffc824b405ef5def47ed0e507",
+    "polys --nmax 12":
+        "b6cd7e71b77f97f8c493599a6001c00295d3c0e76533eb6f6cfb0a6c37ab1438",
+    "reconcile --nmax 4":
+        "a627cfae658b06a110f31df9be7995d14d9c4ceb658644599bdc3dc095be69ab",
+}
+
+
+class TestPinnedExactOutputs:
+    @pytest.mark.parametrize("command", sorted(PINNED_JSON))
+    def test_json_bytes_and_exit_code(self, command, capsys):
+        code, out, _ = run_cli(*command.split(), "--format", "json", capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_JSON[command]
 
 
 class TestPlumbing:

@@ -1,15 +1,21 @@
 """Moment layer: Bell recursion goldens, the d / Q / A integer sequences,
-the integrality table, and the three cross-checked moment routes."""
+the integrality table, the three cross-checked moment routes, and the point
+route checked against the polynomial route."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetakit import exactalg, moments
 from thetakit.exactalg import ConsistencyError, UniPoly, binomial
-from thetakit.cumulants import cumulant_lambert, cumulant_poly, cumulant_value
+from thetakit.cumulants import cumulant_lambert, cumulant_poly, cumulant_value, p_poly
 from thetakit.moments import (
+    _denominator_factors,
+    _point_cumulants,
+    _point_moments,
     bell_moments,
     conjecture_check,
     d_sequence,
@@ -129,6 +135,102 @@ class TestQSequence:
 
     def test_recurrence_check(self):
         assert kappa_recurrence_check(8)
+
+
+def _point_p_values(m: Fraction, count: int) -> list[Fraction]:
+    """P_{2p}(m) for p = 0..count-1 from the point route's scaled integers."""
+    b = m.denominator
+    return [Fraction(x, b ** (p + 1)) for p, x in enumerate(_point_cumulants(m, count))]
+
+
+def _trial_factors(x: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while x > 1:
+        while x % d == 0:
+            out[d] = out.get(d, 0) + 1
+            x //= d
+        d += 1
+    return out
+
+
+class TestPointRouteAgainstPolynomials:
+    """The point route (d, d_p, the table, Q) shares no code with the
+    polynomial route (bell_moments, p_poly) but math.comb, so the polynomials
+    evaluated at m = 1/p are its oracle."""
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_moments_to_order_60(self, p):
+        point = Fraction(1, p)
+        expected = [row.R.evaluate(point) for row in bell_moments(30)]
+        assert _point_moments(point, 30) == expected
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_cumulant_polys_to_order_60(self, p):
+        point = Fraction(1, p)
+        assert _point_p_values(point, 31) == [p_poly(i).evaluate(point) for i in range(31)]
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_public_sequences(self, p):
+        point = Fraction(1, p)
+        polys = bell_moments(24)
+        assert dk_sequence(p, 12) == [polys[2 * n].R.evaluate(point) for n in range(13)]
+        rows = conjecture_check(p, 12)
+        assert [row.value for row in rows] == [polys[2 * n].R.evaluate(point) for n in range(1, 13)]
+
+    def test_d_and_q_at_one_half(self):
+        half = Fraction(1, 2)
+        polys = bell_moments(40)
+        assert d_sequence(20) == [polys[2 * n].R.evaluate(half) * 2 ** n for n in range(1, 21)]
+        expected_q = [(-1) ** (n - 1) * 2 ** n * p_poly(n - 1).evaluate(half) for n in range(2, 31)]
+        assert q_sequence(15) == expected_q
+        assert [q_value(n) for n in (2, 7, 30)] == [expected_q[0], expected_q[5], expected_q[28]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=59),
+           st.integers(min_value=0, max_value=8))
+    def test_sweep_over_rational_points(self, p, a, n):
+        # m = 1/p and, to exercise both factors a and b - a, m = a/p
+        for point in {Fraction(1, p), Fraction(1 + a % (p - 1), p)}:
+            assert _point_moments(point, n)[n] == bell_moments(n)[n].R.evaluate(point)
+            assert _point_p_values(point, n + 1)[n] == p_poly(n).evaluate(point)
+
+
+class TestPointRouteAvoidsPolynomials:
+    def test_polynomial_tables_do_not_grow(self, monkeypatch):
+        # start from empty polynomial tables; the point route must not fill them
+        monkeypatch.setattr(moments, "_KAPPA", [UniPoly.zero()])
+        monkeypatch.setattr(moments, "_MU", [UniPoly.one()])
+        monkeypatch.setattr(exactalg, "_SN_Y", [[], [1]])
+        monkeypatch.setattr(exactalg, "_SN_Y2", [])
+        monkeypatch.setattr(exactalg, "_SN_Y3", [])
+        assert d_sequence(30)[:7] == D_GOLDEN
+        dk_sequence(5, 12)
+        assert [row.scaled for row in conjecture_check(7, 12)][:6] == CONJECTURE_GOLDEN[7]
+        q_sequence(10)
+        q_value(9)
+        assert kappa_recurrence_check(8)
+        tables = (moments._KAPPA, moments._MU, exactalg._SN_Y, exactalg._SN_Y2, exactalg._SN_Y3)
+        assert [len(t) for t in tables] == [1, 1, 2, 0, 0]
+
+    def test_d_sequence_60_floor(self):
+        start = time.perf_counter()
+        d = d_sequence(60)
+        elapsed = time.perf_counter() - start
+        assert d[:7] == D_GOLDEN and len(d) == 60
+        assert elapsed < 2.0
+
+
+class TestDenominatorFactors:
+    @pytest.mark.parametrize("p", [8, 9, 10, 12, 30, 49])
+    def test_matches_trial_division_of_the_denominator(self, p):
+        for row in conjecture_check(p, 6):
+            assert row.denominator_factors == _trial_factors(row.value.denominator)
+
+    def test_foreign_factor_is_an_error(self):
+        assert _denominator_factors(2 ** 5 * 3 ** 2, 6) == {2: 5, 3: 2}
+        with pytest.raises(ConsistencyError):
+            _denominator_factors(2 ** 5 * 7, 6)
 
 
 def _reference_moments(kappas: list) -> list:
