@@ -9,7 +9,10 @@ Three independent routes to the same quantities:
                      = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)),
            q = exp(-pi c) the nome; the factors 2 q^r / (1 - q^(2r)) are
            one table per context, filled by running products in q and
-           shared by every order;
+           shared by every order; each order sums them on one fixed-point
+           int (a term is a factor's mantissa times the exact int
+           r^(2n-1), shifted onto a scale of the working precision plus
+           guard bits above the first factor), converted to mpf once;
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
 
@@ -19,13 +22,17 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
     _GUARD,
+    _LOG2_10,
+    _log2,
     DomainError,
     HPFloat,
     ModulusContext,
@@ -101,8 +108,10 @@ def cumulant_poly(n: int) -> CumulantPoly:
 
 class _LambertFactors:
     """The factors f_r = 2 q^r / (1 - q^(2r)) of one context, r = 1, 2, ...,
-    appended on demand by running products for q^r and q^(2r).  Raw mpf in
-    the caller's workdps, which is always the context's digits + _GUARD."""
+    appended on demand by running products for q^r and q^(2r).  Each is an
+    mpf in the caller's workdps, which is always the context's
+    digits + _GUARD, so it keeps its relative precision whichever order grew
+    the table."""
 
     __slots__ = ("q", "q2", "q_r", "q_2r", "values")
 
@@ -125,24 +134,43 @@ def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
     sum_r (-1)^(r-1) r^(2n-1) f_r with f_r = 1/sinh(c r pi) = 2 q^r / (1 - q^(2r))
     and q = ctx.q, truncated when a term falls below 10^(-digits-5).  The
     factors f_r are one table per context, shared by every order and grown
-    by running products to the longest order asked, and r^(2n-1) is an exact
-    int, so no term evaluates a transcendental function or a fresh power and
-    a repeated order divides nothing."""
+    by running products to the longest order asked.
+
+    The sum runs on one int scaled by 2^S: each term is the exact product of
+    a factor's mantissa and the int r^(2n-1), shifted onto the scale, so it
+    is truncated once, and the threshold is an int on the same scale.  S is
+    the working precision plus guard bits above the first factor's
+    exponent: f_1 is the largest factor, and the guard bits are those of a
+    bound on the number of terms, which the truncations add up over.  The
+    int converts to mpf once, exactly; a repeated order divides nothing,
+    and no term evaluates a transcendental function or builds an mpf."""
     if n < 1:
         raise DomainError("cumulant order index must be >= 1")
     digits = ctx.digits
+    power = 2 * n - 1
     with mp.workdps(digits + _GUARD):
         factors = ctx._once("lambert", lambda: _LambertFactors(+ctx.q.value))
-        threshold = mp.mpf(10) ** (-digits - 5)
-        total = mp.mpf(0)
-        r = 1
+        _, _, exp, bc = factors[1]._mpf_
+        top = exp + bc  # f_1 < 2^top
+        # f_r <= f_1 q^(r-1), so the terms are below 10^(-digits-5) by the
+        # first r with (r - 1) log2(1/q) >= log2 10^(digits+5) + top + (2n - 1) log2 r
+        decay, limit = -_log2(factors.q), (digits + 5) * _LOG2_10 + top
+        last = 2
+        while (last - 1) * decay < limit + power * math.log2(last):
+            last *= 2
+        scale = mp.prec + last.bit_length() - top
+        threshold = (1 << scale) // 10 ** (digits + 5)
+        total, r = 0, 1
         while True:
-            term = r ** (2 * n - 1) * factors[r]
+            _, man, exp, _ = factors[r]._mpf_
+            shift = exp + scale
+            term = man * r ** power
+            term = term << shift if shift >= 0 else term >> -shift
             total += -term if r % 2 == 0 else term
             if term < threshold:
                 break
             r += 1
-        return HPFloat(total, digits)
+        return HPFloat(mp.make_mpf(from_man_exp(total, -scale)), digits)
 
 
 def cumulant_value(order: int, ctx: ModulusContext) -> HPFloat:

@@ -214,17 +214,80 @@ class ConjectureRow:
     denominator_factors: dict[int, int] | None = None
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# 3.3e24 (Sorenson and Webster); above that it is a strong probable-prime
+# test to the same bases.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for base in _PRIME_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 42, by
+    Brent's variant of Pollard's rho on y -> y^2 + c, taking one gcd per
+    batch of 128 steps and replaying the last batch step by step when it
+    overshoots to n."""
+    for c in itertools.count(1):
+        y, r, g, prod = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = math.gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
 def _factorize(x: int) -> dict[int, int]:
+    """Prime factorization of x >= 1: trial division by the primes below 42,
+    then Miller-Rabin and Pollard-Brent on what is left."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            out[d] = out.get(d, 0) + 1
-            x //= d
-        d += 1
-    if x > 1:
-        out[x] = out.get(x, 0) + 1
-    return out
+    for prime in _PRIME_BASES:
+        while x % prime == 0:
+            out[prime] = out.get(prime, 0) + 1
+            x //= prime
+    pending = [x] if x > 1 else []
+    while pending:
+        n = pending.pop()
+        if _is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            d = _split(n)
+            pending += [d, n // d]
+    return dict(sorted(out.items()))
 
 
 def _denominator_factors(denominator: int, p: int) -> dict[int, int]:

@@ -10,6 +10,16 @@ sum.  The theta series and the weighted moment series of ``verify`` are all
 the one Gaussian lattice loop ``_gauss_sum``, which steps q^((n+h)^2) by
 running products.
 
+The series loops (``_gauss_sum`` here, the Lambert sum of ``cumulants``)
+run on fixed-point Python ints: a value x is the int x * 2^S, rounded down.
+The scale S is the working precision plus guard bits, sized from the call's
+own digits, nome and weight bound so that the truncations of all terms,
+times the largest weight over the summed range, stay below 2^(-prec) of the
+sum.  Each call converts to mpf once, at the end, and keeps the scale's
+precision: the first HPFloat operation on the result rounds it, so the
+conversion adds no rounding of its own.  ``_log2`` reads the size of an
+mpf without an mpf operation.
+
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
 parses and memoises on the parsed value and the precision, up to
@@ -27,11 +37,13 @@ the other modules import) so that its relative error stays below
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 __all__ = [
     "DEFAULT_DIGITS",
@@ -59,6 +71,7 @@ __all__ = [
 DEFAULT_DIGITS = 50
 _GUARD = 10  # extra working digits for every primitive
 _CONTEXT_MEMO = 32  # contexts kept by make_context
+_LOG2_10 = math.log2(10)
 
 Scalar = Union["HPFloat", int, Fraction, str]
 
@@ -292,29 +305,61 @@ def _require_nome(q: HPFloat) -> None:
         raise DomainError("nome must satisfy 0 < q < 1")
 
 
-def _gauss_sum(q, digits: int, weight: Callable[[int], object], half: bool = False):
+def _log2(x) -> float:
+    """log2 of a positive mpf, from its mantissa and exponent."""
+    _, man, exp, _ = x._mpf_
+    return math.log2(man) + exp
+
+
+def _gauss_sum(q, digits: int, weight: Callable[[int, int], int], half: bool = False,
+               weight_bits: Callable[[int], int] = lambda n: 0):
     """sum_{n in Z} w(n) q^((n+h)^2) for a weight symmetric about -h, with
-    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0.  The
-    Gaussian factors are running products: q^((n+1+h)^2) = q^((n+h)^2) *
-    q^(2n+1+2h), and the step factor gains q^2 per term, so only the half
-    lattice takes a root, q^(1/4), once.  Stops once two consecutive terms,
-    and their Gaussian factors, fall below 10^(-digits-5), so a small weight
-    cannot end the sum early.  Raw mpf in the caller's workdps."""
-    threshold = mp.mpf(10) ** (-digits - 5)
-    q2 = q * q
+    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0, on
+    fixed-point ints.
+
+    weight(n, S) returns w(n) * 2^S as an int, and weight_bits(n) bounds,
+    up to index n, both log2 |w| and log2 of the error of weight(n, S) in
+    units of 2^(-S); the default suits |w| <= 1.  Each Gaussian factor is
+    kept relative to the first one stepped, g0 = q^(1/4) on the half
+    lattice and q otherwise, and is a running product:
+    q^((n+1+h)^2 - (n+h)^2) = q^(2n+1+2h), so only the half lattice takes a
+    root, q^(1/4), once.  S is the working precision plus the weight bound
+    and the bits of the last index the sum can reach (a power of two past
+    the point where q^(n^2) times the weight bound meets the threshold):
+    each term is truncated once by less than 2^(-S), so all of them
+    together stay 2^(-prec) below the relative factor 1 the loop starts
+    from, and a sum of size q (a moment, whose w(0) is 0) keeps its
+    relative precision.  The result w(0) + 2 g0 (sum of the relative
+    terms) is converted to mpf once, at the scale's precision.  Stops once
+    two consecutive terms, and their Gaussian factors, fall below
+    10^(-digits-5), so a small weight cannot end the sum early."""
+    # the sum ends by the first power of two n at which q^(n^2) times the
+    # weight bound is below the threshold
+    log2_q, limit = _log2(q), (digits + 5) * _LOG2_10
+    last = 1
+    while -log2_q * last * last < limit + weight_bits(last):
+        last *= 2
+    scale = mp.prec + weight_bits(last) + last.bit_length()
+    g0 = mp.sqrt(mp.sqrt(q)) if half else q
+    _, g_man, g_exp, _ = g0._mpf_
+    # the threshold 10^(-digits-5), divided by g0, on the scale
+    threshold = (1 << (scale - g_exp)) // (10 ** (digits + 5) * g_man)
+    q1 = to_fixed(q._mpf_, scale)
+    q2 = q1 * q1 >> scale
     if half:
-        total, n, gauss, step = mp.mpf(0), 0, mp.sqrt(mp.sqrt(q)), q2
+        lead, n, step = 0, 0, q2
     else:
-        total, n, gauss, step = mp.mpf(weight(0)), 1, q, q2 * q
-    below = 0
+        lead, n, step = weight(0, scale), 1, q2 * q1 >> scale
+    total, gauss, below = 0, 1 << scale, 0
     while below < 2:
-        term = weight(n) * gauss
-        total += 2 * term
+        term = weight(n, scale) * gauss >> scale
+        total += term
         below = below + 1 if max(abs(term), gauss) < threshold else 0
-        gauss *= step
-        step *= q2
+        gauss = gauss * step >> scale
+        step = step * q2 >> scale
         n += 1
-    return total
+    with mp.workprec(scale):
+        return mp.mpf((lead, -scale)) + g0 * mp.mpf((total, 1 - scale))
 
 
 # theta index -> (half lattice, alternating sign, trigonometric factor)
@@ -326,8 +371,9 @@ _THETA_SERIES = {
 def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     """Theta function value theta_i(zarg, q) for real zarg, i in 1..4: the
     lattice sum of sign^n q^((n+h)^2) trig((2n+2h) z), with (h, sign, trig)
-    from ``_THETA_SERIES``.  At z = 0 the trigonometric factor is the
-    constant trig(0) and is not evaluated per term."""
+    from ``_THETA_SERIES``.  At z = 0 the trigonometric factor is the exact
+    int trig(0) and is not evaluated per term; elsewhere each term evaluates
+    it in mpf and converts it to the fixed point of ``_gauss_sum``."""
     _require_nome(q)
     if i not in _THETA_SERIES:
         raise DomainError("theta index must be 1, 2, 3 or 4")
@@ -336,10 +382,12 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
     with mp.workdps(digits + _GUARD):
         zv = +z_h.value
-        at_zero = trig(zv)
+        at_zero = int(trig(0))  # 1 for cos, 0 for sin
 
-        def weight(n):
-            return sign ** n * (trig((2 * n + half) * zv) if zv else at_zero)
+        def weight(n, scale):
+            if zv:
+                return sign ** n * to_fixed(trig((2 * n + half) * zv)._mpf_, scale)
+            return sign ** n * at_zero << scale
 
         return HPFloat(_gauss_sum(+q.value, digits, weight, half), digits)
 

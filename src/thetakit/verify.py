@@ -7,8 +7,12 @@ and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
 Both ground-truth series are the kernel's Gaussian lattice loop with a
-weight, over theta3; theta3 and the moments are summed once per context and
-kept with it.  Every modulus verifier takes a ModulusContext and
+weight, over theta3; theta3, the moments and the moment polynomials R_2j(m)
+are computed once per context and kept with it.  The weights are given in
+the loop's fixed point: p^(2n) as an exact int, and H_2n(p/(sigma sqrt 2))
+by its recurrence on ints at the loop's scale, whose guard bits come from a
+bound on |H_2n| over the summed range; each series converts to mpf once.
+Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
 identity its orders, moduli and runner: ``run_suite`` dispatches through it,
@@ -28,6 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
@@ -35,6 +40,7 @@ from .moments import bell_moments, d_sequence
 from .numkernel import (
     _GUARD,
     _gauss_sum,
+    _log2,
     DEFAULT_DIGITS,
     LEMNISCATIC_TOKEN,
     DomainError,
@@ -42,7 +48,6 @@ from .numkernel import (
     ModulusContext,
     dual_context,
     gamma_quarter,
-    hermite,
     hpf,
     lemniscatic_context,
     make_context,
@@ -138,38 +143,77 @@ def _theta3(ctx: ModulusContext) -> HPFloat:
     return ctx._once("theta3", lambda: theta0(3, ctx.q))
 
 
-def _weighted_series(weight: Callable[[int], object], ctx: ModulusContext) -> HPFloat:
-    """sum_p w(p) q^(p^2) / theta3(q) for an even weight w returning raw mpf
-    values.  The normaliser theta3 is the context's one theta series sum,
-    shared by every weight and order."""
+def _weighted_series(weight: Callable[[int, int], int], ctx: ModulusContext,
+                     weight_bits: Callable[[int], int]) -> HPFloat:
+    """sum_p w(p) q^(p^2) / theta3(q) for an even weight given as
+    ``_gauss_sum`` takes it: weight(p, S) is w(p) 2^S as an int, and
+    weight_bits(p) bounds its size and error up to p.  The normaliser theta3
+    is the context's one theta series sum, shared by every weight and
+    order."""
     digits = ctx.digits
     with mp.workdps(digits + _GUARD):
-        total = _gauss_sum(+ctx.q.value, digits, weight)
-        return HPFloat(total / +_theta3(ctx).value, digits)
+        total = _gauss_sum(+ctx.q.value, digits, weight, weight_bits=weight_bits)
+        theta3 = _theta3(ctx).value
+        # a quotient of two series keeps their precision, not the working one
+        with mp.workprec(max(total.bc, theta3.bc)):
+            return HPFloat(total / theta3, digits)
 
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
     """Moment of order 2n by direct summation of the weighted series
     sum_p p^(2n) q^(p^2) normalized by theta3(q), summed once per order and
-    context and kept with the context."""
+    context and kept with the context.  The weight p^(2n) is an exact int."""
     if n < 0:
         raise DomainError("moment index must be >= 0")
-    return ctx._once(
-        ("moment", n), lambda: _weighted_series(lambda p: mp.mpf(p) ** (2 * n), ctx)
-    )
+    return ctx._once(("moment", n), lambda: _weighted_series(
+        lambda p, scale: p ** (2 * n) << scale, ctx, lambda p: 2 * n * p.bit_length()))
+
+
+def _hermite_fixed(order: int, two_x: int, scale: int) -> int:
+    """H_order(x) * 2^scale by the recurrence H_{j+1} = 2x H_j - 2j H_{j-1}
+    from H_{-1} = 0 and H_0 = 1, given 2x * 2^scale, with every product
+    truncated to the scale."""
+    h_prev, h = 0, 1 << scale
+    for j in range(order):
+        h_prev, h = h, (two_x * h >> scale) - 2 * j * h_prev
+    return h
 
 
 def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     """sum_p q^(p^2) H_{2n}(p / (sigma sqrt 2)) / theta3(q) by direct
     summation; the Hermite factor only grows polynomially against the
-    Gaussian-type decay of q^(p^2)."""
-    scale = (ctx.sigma2.sqrt() * hpf(2, ctx.digits).sqrt()).value
-    return _weighted_series(lambda p: hermite(2 * n, p / scale), ctx)
+    Gaussian-type decay of q^(p^2).
+
+    H_{2n} runs its recurrence in the fixed point of the lattice loop, at
+    x = p u with u = 1/(sigma sqrt 2).  By induction on the recurrence,
+    |H_m(x)| <= B^m with B = 2|x| + m (m >= 1), and the truncations of x and
+    of each step add up to less than m (2p + 1) B^m units of 2^(-S); that
+    product is the weight bound.  Near k = 0, u is large (sigma^2 is about
+    2q) and H_{2n} reaches about q^(-n), which the bound follows."""
+    order = 2 * n
+    with mp.workdps(ctx.digits + _GUARD):
+        u = 1 / mp.sqrt(2 * ctx.sigma2.value)
+    log2_u = _log2(u)
+
+    def weight(p, scale):
+        return _hermite_fixed(order, 2 * p * to_fixed(u._mpf_, scale), scale)
+
+    def weight_bits(p):
+        # log2 B <= 1 + max(log2(2 p u), log2 m)
+        log2_b = 1 + max(1 + p.bit_length() + log2_u, order.bit_length())
+        return math.ceil(order * log2_b) + (order * (2 * p + 1)).bit_length()
+
+    return _weighted_series(weight, ctx, weight_bits)
 
 
 # ---------------------------------------------------------------------------
 # Identity verifiers
 # ---------------------------------------------------------------------------
+
+
+def _moment_poly_value(j: int, ctx: ModulusContext) -> HPFloat:
+    """R_{2j}(m), evaluated once per order and context and kept with it."""
+    return ctx._once(("R", j), lambda: bell_moments(j)[j].R.evaluate(ctx.m))
 
 
 def _convolution_coeff(n: int, j: int) -> Fraction:
@@ -184,7 +228,7 @@ def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     if n < 0:
         raise DomainError("index must be >= 0")
     lhs = hermite_weighted_series(n, ctx)
-    r_val = bell_moments(n)[n].R.evaluate(ctx.m) if n else hpf(1, ctx.digits)
+    r_val = _moment_poly_value(n, ctx) if n else hpf(1, ctx.digits)
     ratio = (ctx.z * ctx.z) / (2 * ctx.sigma2)
     rhs = ratio ** n * r_val if n else hpf(1, ctx.digits)
     return _report("theorem1", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
@@ -202,12 +246,10 @@ def verify_theorem3(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     digits = ctx.digits
     half_z = ctx.z / 2
     half_s = ctx.sigma2 / 2
-    polys = bell_moments(n)
     lhs = hpf(0, digits)
     for j in range(n + 1):
         coeff = _convolution_coeff(n, j)
-        r_val = polys[j].R.evaluate(ctx.m)
-        term = half_z ** (2 * j) * r_val * half_s ** (n - j) * coeff
+        term = half_z ** (2 * j) * _moment_poly_value(j, ctx) * half_s ** (n - j) * coeff
         lhs = lhs + term
     rhs = series_moment(n, ctx)
     return _report("theorem3", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)

@@ -283,6 +283,21 @@ class TestConjecture:
         assert lines[2].startswith("  m=2  ") and lines[2].endswith("denominator=100000007^4")
         assert elapsed < 2.0
 
+    @pytest.mark.parametrize("argv, denominator", [
+        # 2^61 - 1, prime
+        (("--p", "2305843009213693951", "--count", "1"), "denominator=2305843009213693951^2"),
+        # (2^31 - 1)(2^61 - 1)
+        (("--p", "4951760154835678088235319297",),
+         "denominator=2147483647^12*2305843009213693951^12"),
+    ])
+    def test_p_with_large_prime_factors(self, capsys, argv, denominator):
+        start = time.perf_counter()
+        code, out, _ = run_cli("conjecture", *argv, capsys=capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out.splitlines()[-2].endswith(denominator)
+        assert elapsed < 2.0
+
 
 class TestReconcile:
     def test_winner_and_exit_zero(self, capsys):

@@ -2,6 +2,7 @@
 the integrality table, the three cross-checked moment routes, and the point
 route checked against the polynomial route."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -311,3 +312,25 @@ class TestMomentRoutes:
     def test_determinant_needs_enough_cumulants(self):
         with pytest.raises(ValueError):
             moments_determinant(4, [Fraction(1), Fraction(2)])
+
+
+class TestFactorize:
+    """moments._factorize (Miller-Rabin and Pollard-Brent) against sympy,
+    which is not a dependency of thetakit."""
+
+    @staticmethod
+    def _cases():
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(61)
+        cases = [1, 2, 41, 42, 43 * 43, 2 ** 61 - 1, (2 ** 31 - 1) * (2 ** 61 - 1)]
+        for bits in (8, 16, 24, 32):
+            for _ in range(6):
+                p = sympy.nextprime(rng.getrandbits(bits))
+                q = sympy.nextprime(rng.getrandbits(rng.randint(8, 28)))
+                cases += [p * q, p ** rng.randint(2, 5), p ** 2 * q * rng.randint(1, 1000)]
+        return sympy, cases
+
+    def test_agrees_with_sympy(self):
+        sympy, cases = self._cases()
+        for x in cases:
+            assert moments._factorize(x) == sympy.factorint(x), x

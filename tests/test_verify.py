@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp
 
 from thetakit import numkernel, verify
+from thetakit.exactalg import UniPoly
 from thetakit.numkernel import (
     DomainError,
     hpf,
@@ -286,3 +287,22 @@ class TestSuiteRunner:
             digits=30,
         )
         assert all(r.passed for r in reports)
+
+
+class TestMomentPolynomialOncePerContext:
+    def test_each_R_is_evaluated_once(self, monkeypatch):
+        # theorem1 and theorem3 over n = 0..8 need R_0..R_8 at one m: 9 values
+        calls = []
+        evaluate = UniPoly.evaluate
+        monkeypatch.setattr(UniPoly, "evaluate", lambda p, x: calls.append(p) or evaluate(p, x))
+        numkernel._build_context.cache_clear()
+        ctx = make_context("0.9", 30)
+        first = [verify_theorem3(n, ctx, "0.9") for n in range(9)]
+        first += [verify_theorem1(n, ctx, "0.9") for n in range(9)]
+        assert len(calls) == 9
+        again = [verify_theorem3(n, ctx, "0.9") for n in range(9)]
+        again += [verify_theorem1(n, ctx, "0.9") for n in range(9)]
+        assert len(calls) == 9
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in again]
+        assert all(r.passed for r in first)
+        numkernel._build_context.cache_clear()
