@@ -16,7 +16,6 @@ from thetakit import (
     make_context,
     pi,
     theta0,
-    theta3_product,
     verify_legendre,
 )
 
@@ -46,8 +45,6 @@ print(f"q = exp(-pi c)  = {ctx.q}")
 t3 = theta0(3, ctx.q)
 print(f"theta3(q)       = {t3}")
 print(f"theta3^2 - z    = {t3 * t3 - ctx.z}")
-# the triple product gives theta3 without summing the series
-print(f"product formula = {theta3_product(ctx.q)}")
 
 print()
 print("== the self-dual point k = 1/sqrt 2 ==")

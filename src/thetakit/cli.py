@@ -47,6 +47,10 @@ def _short(x) -> str:
     return mp.nstr(x.value, 4)
 
 
+class _UnwritableOut(Exception):
+    """The --out path cannot be written; a usage error."""
+
+
 def _emit(args, text: str, payload, csv_header: list[str], csv_rows: list[list]) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -59,7 +63,10 @@ def _emit(args, text: str, payload, csv_header: list[str], csv_rows: list[list])
     else:
         out = text if text.endswith("\n") else text + "\n"
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        try:
+            Path(args.out).write_text(out, encoding="utf-8")
+        except OSError as exc:
+            raise _UnwritableOut(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -372,6 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
+    except _UnwritableOut as exc:
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ def p_poly(p: int) -> UniPoly:
     if p == 0:
         return UniPoly.zero()
     prefactor = UniPoly.from_ints([0, -1, 1])  # -m(1-m) = m^2 - m
-    return prefactor * _sn_square(2 * p)
+    return prefactor * _sn_square(p)
 
 
 def cumulant_poly(n: int) -> CumulantPoly:

@@ -9,9 +9,11 @@ The reduced Schett polynomials S_n(m) are read off the sn equation: on the
 slice (0, k, i*k') the Schett flow x' = yz, y' = zx, z' = xy collapses, for
 Y = x/(i k k'), to  Y'' = (2m-1) Y - 2m(1-m) Y^3  with Y(0) = 0, Y'(0) = 1
 (DLMF 22.13), and S_n = Y^(2n+1)(0).  The Taylor recurrence runs on the
-exponential-generating-function coefficients of Y, Y^2 and Y^3.  The
-trivariate operator route is kept in the test suite as an independent
-oracle.
+exponential-generating-function coefficients of Y and Y^2, and it is
+written once, at a point m = a/b given as the pair (a, b), keeping b^degree
+times each value: the rational points of ``moments`` run it on ints, and
+Z[m] runs it at (a, b) = (m, 1), memoised here.  Its independent oracle is
+the trivariate operator route, kept in the test suite.
 """
 
 from __future__ import annotations
@@ -218,41 +220,42 @@ def _as_poly(value: "UniPoly | int | Fraction") -> UniPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to UniPoly")
 
 
-# Exponential-generating-function coefficients of the sn solution Y and of
-# Y^2 and Y^3, as ascending integer coefficient lists in m: _SN_Y[j] is
-# Y^(j)(0).  Invariant: len(_SN_Y) == len(_SN_Y3) + 2 == len(_SN_Y2) + 2.
-_SN_Y: list[list[int]] = [[], [1]]
-_SN_Y2: list[list[int]] = []
-_SN_Y3: list[list[int]] = []
+def _sn_extend(a, b, s: list, w: list, count: int) -> None:
+    """Extend the sn tables s and w, which hold equally many entries, to
+    count entries each, at m = a/b.
+
+    The nonzero EGF coefficients of the sn solution
+    Y'' = (2m-1) Y - 2m(1-m) Y^3, Y(0) = 0, Y'(0) = 1 are
+    s[n] = Y^(2n+1)(0) = S_n of degree n, w[p] = [Y^2]_{2p} of degree p - 1
+    and v = [Y^3]_{2n-1} of degree n - 2, with
+        v    = sum_j C(2n-1, 2j+1) s[j] w[n-1-j],
+        s[n] = (2m-1) s[n-1] - 2m(1-m) v,
+        w[n] = sum_i C(2n, 2i+1) s[i] s[n-1-i].
+    Each entry is kept times b^degree: 2m - 1 acts as 2a - b and 2m(1-m) as
+    2a(b - a).  With a, b ints in lowest terms every entry is an int; with
+    a = m and b = 1 the entries are the polynomials themselves.
+    """
+    if len(s) >= count:  # full tables: form no coefficient polynomials
+        return
+    linear, quadratic = 2 * a - b, 2 * a * (b - a)
+    while len(s) < count:
+        n = len(s)
+        v = sum(math.comb(2 * n - 1, 2 * j + 1) * s[j] * w[n - 1 - j] for j in range(n - 1))
+        s.append(linear * s[n - 1] - quadratic * v)
+        w.append(sum(math.comb(2 * n, 2 * i + 1) * s[i] * s[n - 1 - i] for i in range(n)))
 
 
-def _egf_product(f: list[list[int]], g: list[list[int]], j: int) -> list[int]:
-    """Coefficient j of the EGF product: sum_i C(j, i) f_i g_{j-i}."""
-    out: list[int] = []
-    square = f is g  # pair the terms i and j - i
-    for i in range(j // 2 + 1 if square else j + 1):
-        a, b = f[i], g[j - i]
-        if a and b:
-            weight = math.comb(j, i) * (2 if square and 2 * i != j else 1)
-            out = _add(out, _mul([weight * x for x in a], b))
-    return out
+# The sn tables over Z[m], that is at (a, b) = (m, 1), grown on demand:
+# _ZM_S[n] = S_n(m) and _ZM_W[p] = [Y^2]_{2p}.
+_ZM_S: list[UniPoly] = [UniPoly.one()]
+_ZM_W: list[UniPoly] = [UniPoly.zero()]
 
 
-def _sn_grow(count: int) -> None:
-    """Extend the EGF tables until [Y^2] and [Y^3] hold count entries, and
-    Y count + 2, by a_{t+2} = (2m-1) a_t - 2m(1-m) [Y^3]_t."""
-    y, y2, y3 = _SN_Y, _SN_Y2, _SN_Y3
-    while len(y3) < count:
-        t = len(y3)
-        y2.append(_egf_product(y, y, t))
-        y3.append(_egf_product(y, y2, t))
-        y.append(_add(_mul([-1, 2], y[t]), _mul([0, -2, 2], y3[t])))
-
-
-def _sn_square(j: int) -> UniPoly:
-    """[Y^2]_j, the j-th EGF coefficient of the square of the sn solution."""
-    _sn_grow(j + 1)
-    return UniPoly(tuple(_SN_Y2[j]))
+def _sn_square(p: int) -> UniPoly:
+    """[Y^2]_{2p}, the EGF coefficient of order 2p of the square of the sn
+    solution, in Z[m]."""
+    _sn_extend(UniPoly.variable(), 1, _ZM_S, _ZM_W, p + 1)
+    return _ZM_W[p]
 
 
 def schett_reduced(n: int) -> UniPoly:
@@ -265,8 +268,8 @@ def schett_reduced(n: int) -> UniPoly:
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    _sn_grow(2 * n)
-    total = UniPoly(tuple(_SN_Y[2 * n + 1]))
+    _sn_extend(UniPoly.variable(), 1, _ZM_S, _ZM_W, n + 1)
+    total = _ZM_S[n]
     if total.degree != n:
         raise ConsistencyError(f"S_{n} has unexpected shape: {total}")
     return total

@@ -1,20 +1,21 @@
 """Moments of the theta-weighted integer distribution.
 
-Contains the graded complete Bell recursion that turns exact cumulant
+Contains the even-order complete Bell recursion that turns exact cumulant
 polynomials into exact moment polynomials R_{2n}(m), the integer sequence
 d(n) = 2^n R_{4n}(1/2) and its rational generalization to moduli 1/sqrt(p),
 the integrality-conjecture explorer, the Q sequence with two independent
 recurrences, and three mutually independent moment-from-cumulant formulas
 (plain recurrence, Hessenberg determinant, set-partition sum).
 
-Two routes reach the exact moments.  The polynomial route (bell_moments,
-cumulants.p_poly) builds R_{2n} and P_{2p} in Z[m] and serves the
+The exact moments come from one sn recurrence (exactalg) and one
+even-order Bell recursion (_bell_even), run in two rings.  The polynomial
+route (bell_moments, cumulants.p_poly) runs them in Z[m] and serves the
 polynomial tables and the numeric checks.  The sequences d, d_p, the
 integrality table and Q are values at one rational point m = a/b, so they
-take the point route: it specialises to m first and runs the sn ODE, the
-cumulants and the Bell recursion on integers.  The two routes share no code
-beyond math.comb, and the polynomial route is the point route's oracle in
-the tests.
+take the point route: the same code on the ints b^degree times each value,
+with no polynomial built.  The independent oracles in the tests are the
+trivariate Schett route, the determinant and partition routes, the goldens
+and q_from_a.
 
 Grading convention: the exact pipeline works in Z[m]; a value of grade 2n
 carries an implicit transcendental factor (z/2)^(2n).  Because the order-2
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import ConsistencyError, UniPoly, binomial
+from .exactalg import ConsistencyError, UniPoly, _sn_extend, binomial
 from .cumulants import cumulant_poly, cumulant_value
 from .numkernel import HPFloat, ModulusContext, hpf
 
@@ -60,82 +61,61 @@ class MomentPoly:
     R: UniPoly
 
 
-def _graded_cumulant(order: int) -> UniPoly:
-    """Grade coefficient of the order-th cumulant: zero for odd orders and
-    for order 2 (the variance is excluded from the exact grade)."""
-    if order % 2 or order == 2:
-        return UniPoly.zero()
-    return cumulant_poly(order // 2).coefficient
+def _bell_even(kappa: list, r: list, N: int) -> list:
+    """Extend r to R_0..R_{2N} by the even-order complete Bell recursion
+        R_{2n} = kappa_{2n} + sum_{i=1}^{n-1} C(2n-1, 2i-1) kappa_{2i} R_{2n-2i},
+    where kappa[i] = kappa_{2i} and r[n] = R_{2n}, skipping the zero
+    cumulants, and return r.  The odd orders vanish and are not stored.
+    The ring is the caller's: Z[m], the ints b^n R_{2n}(a/b) of the point
+    route (b^i kappa_{2i} times b^(n-i) R_{2n-2i} is b^n times the term), or
+    HPFloat with the variance included."""
+    while len(r) <= N:
+        n = len(r)
+        acc = kappa[n]
+        for i in range(1, n):
+            if not _is_zero(kappa[i]):
+                acc = acc + kappa[i] * r[n - i] * math.comb(2 * n - 1, 2 * i - 1)
+        r.append(acc)
+    return r
 
 
-def _next_moment(kappa: list, mu: list) -> None:
-    """Append mu_n for n = len(mu) by the complete Bell recursion
-    mu_n = kappa_n + sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m},
-    skipping the zero cumulants."""
-    n = len(mu)
-    acc = kappa[n]
-    for m in range(1, n):
-        if not _is_zero(kappa[m]):
-            acc = acc + kappa[m] * mu[n - m] * binomial(n - 1, m - 1)
-    mu.append(acc)
+# The exact grade of the Bell recursion over Z[m], grown on demand and
+# shared by bell_moments and moments_from_cumulants: _ZM_KAPPA[i] is the
+# graded cumulant of order 2i (zero for i <= 1: the variance is excluded
+# from the exact grade) and _ZM_R[n] = R_{2n}.
+_ZM_KAPPA: list[UniPoly] = [UniPoly.zero(), UniPoly.zero()]
+_ZM_R: list[UniPoly] = [UniPoly.one()]
 
 
-# The exact grade of the Bell recursion, grown on demand and shared by
-# bell_moments and moments_from_cumulants: graded cumulants and moments of
-# orders 0, 1, 2, ...
-_KAPPA: list[UniPoly] = [UniPoly.zero()]
-_MU: list[UniPoly] = [UniPoly.one()]
-
-
-def _exact_moments(top: int) -> list[UniPoly]:
-    """The shared table of graded moments, grown to cover orders 0..top
-    (it may hold more); odd orders must vanish."""
-    while len(_MU) <= top:
-        _KAPPA.append(_graded_cumulant(len(_KAPPA)))
-        _next_moment(_KAPPA, _MU)
-        if len(_MU) % 2 == 0 and _MU[-1]:
-            raise ConsistencyError(f"odd-order graded moment B_{len(_MU) - 1} is nonzero")
-    return _MU
+def _exact_moments(N: int) -> list[UniPoly]:
+    """The shared table of graded moments R_{2n}, grown to cover n = 0..N
+    (it may hold more)."""
+    while len(_ZM_KAPPA) <= N:
+        _ZM_KAPPA.append(cumulant_poly(len(_ZM_KAPPA)).coefficient)
+    return _bell_even(_ZM_KAPPA, _ZM_R, N)
 
 
 def bell_moments(N: int) -> list[MomentPoly]:
-    """Moment polynomials R_{2n} for n = 0..N via the complete Bell
-    recursion B_{j+1} = sum_i C(j, i) c_{i+1} B_{j-i}, B_0 = 1, run on the
-    graded cumulant coefficients."""
+    """Moment polynomials R_{2n} for n = 0..N via the even-order complete
+    Bell recursion, run on the graded cumulant coefficients."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    mu = _exact_moments(2 * N)
-    return [MomentPoly(n=n, R=mu[2 * n]) for n in range(N + 1)]
+    r = _exact_moments(N)
+    return [MomentPoly(n=n, R=r[n]) for n in range(N + 1)]
 
 
-# The point route.  A polynomial of degree g in Z[m], taken at m = a/b in
-# lowest terms, is an integer once multiplied by b^g, so every step keeps
-# b^g times its value and stays in the integers: 2m - 1 acts as 2a - b,
-# 2m(1 - m) as 2a(b - a) and -m(1 - m) as -a(b - a).  Only the results are
-# divided by b^g.
+# The point route: the sn recurrence and the Bell recursion at one rational
+# m = a/b in lowest terms.  A polynomial of degree g in Z[m], taken at a/b,
+# is an integer once multiplied by b^g, so every step keeps b^g times its
+# value and stays in the integers.  Only the results are divided by b^g.
 
 
 def _point_cumulants(m: Fraction, count: int) -> list[int]:
-    """b^(p+1) P_{2p}(m) for p = 0..count-1 (count >= 1), where m = a/b.
-
-    The nonzero EGF coefficients of the sn solution
-    Y'' = (2m-1) Y - 2m(1-m) Y^3, Y(0) = 0, Y'(0) = 1, scaled by b^degree:
-    s[n] = Y^(2n+1)(0) of degree n, w[p] = [Y^2]_{2p} of degree p - 1 and
-    v = [Y^3]_{2n+1} of degree n - 1, with
-        w[p] = sum_i C(2p, 2i+1) s[i] s[p-1-i],
-        v    = sum_j C(2n+1, 2j+1) s[j] w[n-j],
-        s[n+1] = (2a - b) s[n] - 2a(b - a) v,
-    and P_{2p} = -m(1-m) [Y^2]_{2p}.
-    """
+    """b^(p+1) P_{2p}(m) for p = 0..count-1 (count >= 1), where m = a/b:
+    P_{2p} = -m(1-m) [Y^2]_{2p}, and -m(1-m) acts as -a(b - a)."""
     a, b = m.numerator, m.denominator
     s, w = [1], [0]
-    while len(w) < count:
-        p = len(w)
-        if p >= 2:  # s[p-1], the last one w[p] needs
-            n = p - 2
-            v = sum(math.comb(2 * n + 1, 2 * j + 1) * s[j] * w[n - j] for j in range(n))
-            s.append((2 * a - b) * s[n] - 2 * a * (b - a) * v)
-        w.append(sum(math.comb(2 * p, 2 * i + 1) * s[i] * s[p - 1 - i] for i in range(p)))
+    _sn_extend(a, b, s, w, count)
     return [-a * (b - a) * x for x in w]
 
 
@@ -144,17 +124,12 @@ def _point_moments(m: Fraction, N: int) -> list[Fraction]:
 
     The graded cumulants kappa_{2n} = (-1)^(n-1) P_{2n-2}(m), n >= 2 (the
     variance is outside the exact grade), go through the even-order Bell
-    recursion R_{2n} = kappa_{2n} + sum_i C(2n-1, 2i-1) kappa_{2i} R_{2n-2i}
-    on b^n times each value.
+    recursion on b^n times each value.
     """
     b = m.denominator
     scaled_p = _point_cumulants(m, max(N, 1))
     kappa = [0, 0] + [(-1) ** (n - 1) * scaled_p[n - 1] for n in range(2, N + 1)]
-    r = [1]
-    for n in range(1, N + 1):
-        acc = sum(math.comb(2 * n - 1, 2 * i - 1) * kappa[i] * r[n - i] for i in range(2, n))
-        r.append(kappa[n] + acc)
-    return [Fraction(x, b ** n) for n, x in enumerate(r)]
+    return [Fraction(x, b ** n) for n, x in enumerate(_bell_even(kappa, [1], N))]
 
 
 def d_sequence(N: int) -> list[int]:
@@ -399,8 +374,8 @@ def kappa_recurrence_check(N: int) -> bool:
 
 
 def moments_from_cumulants(N: int, ctx: ModulusContext | None = None) -> list:
-    """Moments of every order 0..2N by the plain recurrence
-    mu_n = kappa_n + sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m}.
+    """Moments of every order 0..2N by the even-order Bell recursion, with
+    a zero at each odd order.
 
     Without a context the computation is exact (grade coefficients in Z[m],
     order-2 cumulant excluded) and served from the table behind
@@ -409,14 +384,13 @@ def moments_from_cumulants(N: int, ctx: ModulusContext | None = None) -> list:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    top = 2 * N
     if ctx is None:
-        return _exact_moments(top)[: top + 1]
-    kappa = [hpf(0, ctx.digits)] + [cumulant_value(order, ctx) for order in range(1, top + 1)]
-    mu = [hpf(1, ctx.digits)]
-    while len(mu) <= top:
-        _next_moment(kappa, mu)
-    return mu
+        r, zero = _exact_moments(N), UniPoly.zero()
+    else:
+        zero = hpf(0, ctx.digits)
+        kappa = [zero] + [cumulant_value(2 * i, ctx) for i in range(1, N + 1)]
+        r = _bell_even(kappa, [hpf(1, ctx.digits)], N)
+    return [zero if n % 2 else r[n // 2] for n in range(2 * N + 1)]
 
 
 def moments_determinant(n: int, cumulants: list) -> object:

@@ -2,8 +2,8 @@
 
 Provides the HPFloat scalar (an immutable wrapper around an mpmath value
 carrying its decimal working precision), the AGM and the complete elliptic
-integrals built on it, the nome, theta series, Hermite polynomial
-evaluation, and the per-modulus ModulusContext bundle.
+integrals built on it, the nome, theta series, and the per-modulus
+ModulusContext bundle.
 
 K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
 sum.  The theta series and the weighted moment series of ``verify`` are all
@@ -63,8 +63,6 @@ __all__ = [
     "lemniscatic_context",
     "theta",
     "theta0",
-    "theta3_product",
-    "hermite",
     "gamma_quarter",
 ]
 
@@ -397,47 +395,9 @@ def theta0(i: int, q: HPFloat) -> HPFloat:
     return theta(i, 0, q)
 
 
-def theta3_product(q: HPFloat) -> HPFloat:
-    """theta3 by its infinite product (q^2; q^2) (-q; q^2)^2, truncated when
-    the running factor differs from 1 by less than the tail threshold.  The
-    powers q^(2p-1) and q^(2p) are running products in q^2."""
-    _require_nome(q)
-    digits = q.digits
-    with mp.workdps(digits + _GUARD):
-        qv = +q.value
-        threshold = mp.mpf(10) ** (-digits - 5)
-        q2 = qv * qv
-        total = mp.mpf(1)
-        odd, even = qv, q2
-        while True:
-            total *= (1 - even) * (1 + odd) ** 2
-            if 2 * odd < threshold:
-                break
-            odd *= q2
-            even *= q2
-        return HPFloat(total, digits)
-
-
 # ---------------------------------------------------------------------------
-# Hermite values and the lemniscatic gamma constant
+# The lemniscatic gamma constant
 # ---------------------------------------------------------------------------
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n at x via the three-term recurrence
-    H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}.
-
-    Generic over the scalar type of x (HPFloat, Fraction, int).
-    """
-    if n < 0:
-        raise DomainError("Hermite index must be >= 0")
-    h_prev = x ** 0  # multiplicative one of x's type
-    if n == 0:
-        return h_prev
-    h_cur = 2 * x
-    for j in range(1, n):
-        h_prev, h_cur = h_cur, 2 * x * h_cur - (2 * j) * h_prev
-    return h_cur
 
 
 def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:

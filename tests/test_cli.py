@@ -391,6 +391,21 @@ class TestPlumbing:
             "name": "d", "params": {"count": 3}, "terms": ["1", "-1", "51"]
         }
 
+    def test_out_to_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            "verify", "all", "--k", "0.5", "--nmax", "1", "--out", str(target), capsys=capsys
+        )
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_out_to_directory_is_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli("sequences", "d", "--count", "3", "--out", str(tmp_path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sequences", "d", "--frobnicate"])

@@ -1,6 +1,7 @@
 """Moment layer: Bell recursion goldens, the d / Q / A integer sequences,
-the integrality table, the three cross-checked moment routes, and the point
-route checked against the polynomial route."""
+the integrality table, the three cross-checked moment routes, the point
+route checked against the polynomial route, and both checked against the
+trivariate Schett oracle."""
 
 import random
 import time
@@ -31,6 +32,8 @@ from thetakit.moments import (
     q_value,
 )
 from thetakit.numkernel import make_context
+
+from schett_oracle import schett_slice
 
 D_GOLDEN = [1, -1, 51, 849, -26199, 1341999, 82018251]
 
@@ -156,9 +159,11 @@ def _trial_factors(x: int) -> dict[int, int]:
 
 
 class TestPointRouteAgainstPolynomials:
-    """The point route (d, d_p, the table, Q) shares no code with the
-    polynomial route (bell_moments, p_poly) but math.comb, so the polynomials
-    evaluated at m = 1/p are its oracle."""
+    """The point route (d, d_p, the table, Q) and the polynomial route
+    (bell_moments, p_poly) run the one sn recurrence and the one Bell
+    recursion, at (a, b) and at (m, 1), so these tests check the b^degree
+    scaling of the point route; TestAgainstTrivariateOracle checks the
+    recurrences themselves."""
 
     @pytest.mark.parametrize("p", range(2, 8))
     def test_moments_to_order_60(self, p):
@@ -197,22 +202,52 @@ class TestPointRouteAgainstPolynomials:
             assert _point_p_values(point, n + 1)[n] == p_poly(n).evaluate(point)
 
 
+def _oracle_p(p: int) -> UniPoly:
+    """P_{2p} = -m(1-m) sum_n C(2p, 2n+1) S_n S_{p-1-n}, with S_n from the
+    trivariate Schett operator."""
+    total = UniPoly.zero()
+    for n in range(p):
+        total = total + schett_slice(n) * schett_slice(p - 1 - n) * binomial(2 * p, 2 * n + 1)
+    return UniPoly.from_ints([0, -1, 1]) * total
+
+
+class TestAgainstTrivariateOracle:
+    """P_{2p} from the trivariate Schett route and R_{2n} from the Hessenberg
+    determinant over those cumulants share no code with the sn recurrence
+    and the Bell recursion that both exact routes run."""
+
+    @pytest.mark.parametrize("p", range(12))
+    def test_p_poly(self, p):
+        assert p_poly(p) == _oracle_p(p)
+
+    @pytest.mark.parametrize("point", [Fraction(1, 3), Fraction(2, 5)])
+    def test_point_cumulants(self, point):
+        assert _point_p_values(point, 12) == [_oracle_p(p).evaluate(point) for p in range(12)]
+
+    def test_determinant_over_oracle_cumulants(self):
+        kappas = [
+            UniPoly.zero() if o % 2 or o == 2 else _oracle_p(o // 2 - 1) * (-1) ** (o // 2 - 1)
+            for o in range(1, 17)
+        ]
+        expected = [moments_determinant(2 * n, kappas) for n in range(1, 9)]
+        assert [row.R for row in bell_moments(8)[1:]] == expected
+
+
 class TestPointRouteAvoidsPolynomials:
     def test_polynomial_tables_do_not_grow(self, monkeypatch):
-        # start from empty polynomial tables; the point route must not fill them
-        monkeypatch.setattr(moments, "_KAPPA", [UniPoly.zero()])
-        monkeypatch.setattr(moments, "_MU", [UniPoly.one()])
-        monkeypatch.setattr(exactalg, "_SN_Y", [[], [1]])
-        monkeypatch.setattr(exactalg, "_SN_Y2", [])
-        monkeypatch.setattr(exactalg, "_SN_Y3", [])
+        # start from empty Z[m] tables; the point route must not fill them
+        monkeypatch.setattr(moments, "_ZM_KAPPA", [UniPoly.zero(), UniPoly.zero()])
+        monkeypatch.setattr(moments, "_ZM_R", [UniPoly.one()])
+        monkeypatch.setattr(exactalg, "_ZM_S", [UniPoly.one()])
+        monkeypatch.setattr(exactalg, "_ZM_W", [UniPoly.zero()])
         assert d_sequence(30)[:7] == D_GOLDEN
         dk_sequence(5, 12)
         assert [row.scaled for row in conjecture_check(7, 12)][:6] == CONJECTURE_GOLDEN[7]
         q_sequence(10)
         q_value(9)
         assert kappa_recurrence_check(8)
-        tables = (moments._KAPPA, moments._MU, exactalg._SN_Y, exactalg._SN_Y2, exactalg._SN_Y3)
-        assert [len(t) for t in tables] == [1, 1, 2, 0, 0]
+        tables = (moments._ZM_KAPPA, moments._ZM_R, exactalg._ZM_S, exactalg._ZM_W)
+        assert [len(t) for t in tables] == [2, 1, 1, 1]
 
     def test_d_sequence_60_floor(self):
         start = time.perf_counter()

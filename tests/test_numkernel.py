@@ -22,7 +22,6 @@ from thetakit.numkernel import (
     ellipE,
     ellipK,
     gamma_quarter,
-    hermite,
     hpf,
     lemniscatic_context,
     make_context,
@@ -30,11 +29,11 @@ from thetakit.numkernel import (
     pow10,
     theta,
     theta0,
-    theta3_product,
 )
-from thetakit.verify import verify_jacobi_transform
+from thetakit.verify import _hermite_fixed, verify_jacobi_transform
 
 from ellipk_oracle import ellipK_series
+from theta_product_oracle import theta3_product
 
 # frozen oracle constants (60 working digits)
 GAMMA_QUARTER = "3.625609908221908311930685155867672002995167682880065467"
@@ -258,21 +257,27 @@ class TestThetaSweep:
 
 
 class TestHermite:
+    """The fixed-point Hermite recurrence of the weighted lattice series:
+    at dyadic points every product is exact, so each value is an exact int
+    at any scale."""
+
     def test_golden_values_at_one(self):
-        got = [hermite(n, Fraction(1)) for n in range(6)]
-        assert got == [1, 2, 2, -4, -20, -8]
+        for scale in (0, 7, 200):
+            got = [_hermite_fixed(n, 2 << scale, scale) for n in range(6)]
+            assert got == [h << scale for h in (1, 2, 2, -4, -20, -8)]
 
     def test_exact_fraction_input(self):
-        assert hermite(2, Fraction(1, 2)) == Fraction(-1)
-        assert hermite(3, Fraction(1, 2)) == Fraction(-5)
+        for scale in (1, 7, 200):
+            assert _hermite_fixed(2, 1 << scale, scale) == -1 << scale
+            assert _hermite_fixed(3, 1 << scale, scale) == -5 << scale
 
-    def test_hpfloat_input(self):
-        x = hpf("0.5", 40)
-        assert float(abs(hermite(3, x) + 5)) < 1e-37
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            hermite(-1, Fraction(1))
+    def test_truncated_point_matches_mpmath(self):
+        # x = 1/3 is not dyadic: each of the n products truncates once
+        scale = 200
+        got = _hermite_fixed(12, (2 << scale) // 3, scale)
+        with mp.workdps(80):
+            ref = mp.hermite(12, mp.mpf(1) / 3) * mp.mpf(2) ** scale
+        assert abs(got - ref) < 2 ** 40
 
 
 class TestGammaQuarter:
