@@ -30,7 +30,7 @@ from .cumulants import p_poly
 from .exactalg import ConsistencyError, schett_reduced
 from .moments import bell_moments, conjecture_check, d_sequence, q_from_a, q_sequence
 from .numkernel import DEFAULT_DIGITS, DomainError, parse_modulus
-from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, cells_for, run_suite
+from .verify import DEFAULT_IDENTITIES, DEFAULT_KS, IDENTITIES, cells_for, run_suite
 
 __all__ = ["build_parser", "main"]
 
@@ -187,6 +187,9 @@ def _cmd_verify(args) -> int:
         problem = _validate_modulus_token(args.k, args.digits)
         if problem:
             return _fail_usage(problem)
+        fixed = {k for name in _VERIFY_SUITES[args.which] for k in IDENTITIES[name][1] or [None]}
+        if None not in fixed:
+            return _fail_usage(f"verify {args.which} runs only at k = {', '.join(sorted(fixed))}")
         ks: tuple[str, ...] = (args.k,)
     else:
         ks = DEFAULT_KS

@@ -5,10 +5,11 @@ carrying its decimal working precision), the AGM and the complete elliptic
 integrals built on it, the nome, theta series, and the per-modulus
 ModulusContext bundle.
 
-K and Gamma(1/4) go through ``agm``; E keeps its own loop for the companion
-sum.  The theta series and the weighted moment series of ``verify`` are all
-the one Gaussian lattice loop ``_gauss_sum``, which steps q^((n+h)^2) by
-running products.
+One AGM loop, ``_agm_pass``, gives each modulus K and E from one pass: K and
+``agm`` take its mean at 10^(1-digits), a looser rule than E's 10^(-digits-5)
+that an exact modulus (ROADMAP direction 1) retires.  The theta series and
+the weighted moment series of ``verify`` are all the one Gaussian lattice
+loop ``_gauss_sum``, which steps q^((n+h)^2) by running products.
 
 The series loops (``_gauss_sum`` here, the Lambert sum of ``cumulants``)
 run on fixed-point Python ints: a value x is the int x * 2^S, rounded down.
@@ -243,54 +244,55 @@ def parse_modulus(token: Scalar, digits: int) -> HPFloat:
 # ---------------------------------------------------------------------------
 
 
+def _agm_pass(a, b, c, digits: int):
+    """The AGM from (a, b) at the ambient precision, carrying E's companion sum
+    s = sum_j 2^(j-1) c_j^2, c_0 = c, c_{j+1} = (a_j - b_j)/2.  Yields a_j once
+    |a_j - b_j| < 10^(1-digits)*a_j, then (a_j, s) once c_j and |a_j - b_j|/a_j
+    are below 10^(-digits-5): absolute in c_j, so only for a_j <= 1."""
+    eps_k, eps_e = mp.mpf(10) ** (1 - digits), mp.mpf(10) ** (-digits - 5)
+    csum, weight, before_k = mp.mpf(0), mp.mpf(1) / 2, True
+    while True:
+        if before_k and abs(a - b) < eps_k * a:
+            before_k = False
+            yield a
+        csum += weight * c * c
+        if c < eps_e and abs(a - b) < eps_e * a:
+            yield a, csum
+            return
+        a, b, c, weight = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2, weight * 2
+
+
 def agm(a: Scalar, b: Scalar, digits: int) -> HPFloat:
     """Arithmetic-geometric mean, iterated until |a_n - b_n| < 10^(1-digits)*a_n."""
     a_h, b_h = hpf(a, digits), hpf(b, digits)
     if a_h.value <= 0 or b_h.value <= 0:
         raise DomainError("agm requires positive inputs")
     with mp.workdps(digits + _GUARD):
-        x, y = +a_h.value, +b_h.value
-        eps = mp.mpf(10) ** (1 - digits)
-        while abs(x - y) >= eps * x:
-            x, y = (x + y) / 2, mp.sqrt(x * y)
-        return HPFloat(x, digits)
+        return HPFloat(next(_agm_pass(+a_h.value, +b_h.value, 0, digits)), digits)
 
 
-def _require_modulus(k: HPFloat) -> None:
+def _complete(k: HPFloat) -> tuple[HPFloat, HPFloat, HPFloat, HPFloat]:
+    """m = k^2, k' = sqrt(1 - m), and K = pi/(2a) at agm's rule and
+    E = (pi/(2a))(1 - s) at E's rule from one ``_agm_pass`` from (1, k')."""
     if not (0 < k.value < 1):
         raise DomainError("elliptic modulus must satisfy 0 < k < 1")
+    m = k * k
+    kprime = (1 - m).sqrt()
+    with mp.workdps(k.digits + _GUARD):
+        mean_k, (mean_e, csum) = _agm_pass(mp.mpf(1), kprime.value, +k.value, k.digits)
+        big_k = HPFloat(mp.pi / (2 * mean_k), k.digits)
+        return m, kprime, big_k, HPFloat(mp.pi / (2 * mean_e) * (1 - csum), k.digits)
 
 
 def ellipK(k: HPFloat) -> HPFloat:
     """Complete elliptic integral of the first kind via pi/(2*agm(1, k'))."""
-    _require_modulus(k)
-    digits = k.digits
-    return pi(digits) / (2 * agm(1, (1 - k * k).sqrt(), digits))
+    return _complete(k)[2]
 
 
 def ellipE(k: HPFloat) -> HPFloat:
     """Complete elliptic integral of the second kind via the AGM companion
     sum E = K * (1 - sum_j 2^(j-1) c_j^2), c_0 = k, c_{j+1} = (a_j - b_j)/2."""
-    _require_modulus(k)
-    digits = k.digits
-    with mp.workdps(digits + _GUARD):
-        kp = mp.sqrt(1 - k.value * k.value)
-        eps = mp.mpf(10) ** (-digits - 5)
-        a_cur, b_cur = mp.mpf(1), kp
-        c_cur = +k.value
-        csum = mp.mpf(0)
-        weight = mp.mpf(1) / 2  # 2^(j-1) at j = 0
-        while True:
-            csum += weight * c_cur * c_cur
-            if c_cur < eps and abs(a_cur - b_cur) < eps * a_cur:
-                break
-            a_next = (a_cur + b_cur) / 2
-            b_next = mp.sqrt(a_cur * b_cur)
-            c_cur = (a_cur - b_cur) / 2
-            a_cur, b_cur = a_next, b_next
-            weight *= 2
-        bigk = mp.pi / (2 * a_cur)
-        return HPFloat(bigk * (1 - csum), digits)
+    return _complete(k)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +456,8 @@ def make_context(k: Scalar, digits: int = DEFAULT_DIGITS) -> ModulusContext:
 
 @functools.lru_cache(maxsize=_CONTEXT_MEMO)
 def _build_context(k: HPFloat, digits: int) -> ModulusContext:
-    _require_modulus(k)
-    m = k * k
-    kprime = (1 - m).sqrt()
-    big_k = ellipK(k)
-    big_e = ellipE(k)
-    big_kp = ellipK(kprime)
-    big_ep = ellipE(kprime)
+    m, kprime, big_k, big_e = _complete(k)
+    _, _, big_kp, big_ep = _complete(kprime)
     c = big_kp / big_k
     pi_h = pi(digits)
     q = (-(pi_h * c)).exp()

@@ -114,8 +114,8 @@ class VerificationReport:
 
 
 def _report(identity: str, n: int | None, k_token: str, digits: int,
-            lhs: HPFloat, rhs: HPFloat, tolerance: HPFloat | None = None) -> VerificationReport:
-    tol = tolerance if tolerance is not None else suite_tolerance(digits)
+            lhs: HPFloat, rhs: HPFloat) -> VerificationReport:
+    tol = suite_tolerance(digits)
     scale = abs(rhs)
     residual = abs(lhs - rhs)
     if scale > 1:

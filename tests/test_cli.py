@@ -163,6 +163,13 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: modulus")
 
+    def test_modulus_for_fixed_modulus_suite_is_usage_error(self, capsys):
+        # every romik cell runs at 1/sqrt2, so a given modulus would be ignored
+        code, out, err = run_cli("verify", "romik", "--k", "0.5", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify romik runs only at k = 1/sqrt2\n"
+
     def test_json_report_stream(self, capsys):
         code, out, _ = run_cli(
             "verify", "romik", "--nmax", "2", "--format", "json", capsys=capsys

@@ -136,6 +136,12 @@ class TestAgmAndElliptic:
         assert float(abs(a - b)) < 1e-37
         assert float(abs(agm(6, 14, 40) - a * 2)) < 1e-36
 
+    @pytest.mark.parametrize("a, b", [(10**30, 2 * 10**30), (1, 10**40), (10**6, 1)])
+    def test_agm_far_from_unit_scale(self, a, b):
+        # agm stops at its relative rule; E's rule is absolute in c_j, so at
+        # these scales it holds only if the iterates happen to become equal
+        assert float(abs(agm(a, b, 50) / (a * agm(1, Fraction(b, a), 50)) - 1)) < 1e-48
+
     def test_agm_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             agm(0, 1, 30)
@@ -154,6 +160,14 @@ class TestAgmAndElliptic:
         k = hpf(1, 50) / hpf(2, 50).sqrt()
         assert_close(ellipK(k), K_LEMN)
         assert_close(ellipE(k), E_LEMN)
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    @pytest.mark.parametrize("token", ["0.3", "1/sqrt2", "0.9"])
+    def test_context_integrals_match_public_functions(self, token, digits):
+        ctx = make_context(token, digits)
+        for k, big_k, big_e in ((ctx.k, ctx.K, ctx.E), (ctx.kprime, ctx.Kprime, ctx.Eprime)):
+            assert ellipK(k).value._mpf_ == big_k.value._mpf_
+            assert ellipE(k).value._mpf_ == big_e.value._mpf_
 
     def test_series_route_agrees_with_agm(self):
         for tok in ("0.3", "0.6"):

@@ -260,10 +260,11 @@ class TestSuiteRunner:
         assert cell[0] in reports[0].error and "order" in reports[0].error
 
     def test_suite_builds_one_context_per_modulus(self, monkeypatch):
-        # make_context is the only caller of ellipE, twice per context
+        # each _complete call is one AGM pass; a context makes two, at k and
+        # at kprime, and nothing else in the suite calls it
         calls = []
-        ellip_e = numkernel.ellipE
-        monkeypatch.setattr(numkernel, "ellipE", lambda k: calls.append(k) or ellip_e(k))
+        complete = numkernel._complete
+        monkeypatch.setattr(numkernel, "_complete", lambda k: calls.append(k) or complete(k))
         numkernel._build_context.cache_clear()
         run_suite(default_grid(8), digits=30)
         # 0.3, 1/sqrt2 and 0.9, and the duals of 0.3 and 0.9 (the lemniscatic
