@@ -50,16 +50,17 @@ def cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
     >>> cycle_peaks((2, 1))
     (0, 1)
     """
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
+    if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError("not a permutation of 1..n in one-line notation")
-    inverse = [0] * (n + 1)
-    for i, v in enumerate(perm, start=1):
-        inverse[v] = i
+    return _cycle_peaks(perm)
+
+
+def _cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
+    """``cycle_peaks`` of a sequence known to be a permutation of 1..n: the
+    image c of i is a peak when i < c and the image of c is below c."""
     odd = even = 0
-    for c in range(2, n + 1):
-        image = perm[c - 1]
-        if image != c and image < c and inverse[c] < c:
+    for i, c in enumerate(perm, start=1):
+        if c > i and perm[c - 1] < c:
             if c % 2:
                 odd += 1
             else:
@@ -101,7 +102,7 @@ def count_profiles(n: int) -> CyclePeakProfile:
         raise ValueError(f"enumeration budget is n <= {MAX_ENUM}")
     counts: dict[tuple[int, int], int] = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        key = cycle_peaks(perm)
+        key = _cycle_peaks(perm)
         counts[key] = counts.get(key, 0) + 1
     return CyclePeakProfile(n=n, counts=counts)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
@@ -103,9 +104,7 @@ class HPFloat:
 
     def _bin(self, other: Scalar, op) -> "HPFloat":
         rhs = self._coerce(other)
-        digits = max(self.digits, rhs.digits)
-        with mp.workdps(digits + _GUARD):
-            return HPFloat(op(self.value, rhs.value), digits)
+        return _at(max(self.digits, rhs.digits), op, self.value, rhs.value)
 
     def __add__(self, other: Scalar) -> "HPFloat":
         return self._bin(other, lambda a, b: a + b)
@@ -132,17 +131,14 @@ class HPFloat:
     def __pow__(self, exponent: int) -> "HPFloat":
         if not isinstance(exponent, int):
             raise TypeError("HPFloat powers take integer exponents")
-        with mp.workdps(self.digits + _GUARD):
-            return HPFloat(self.value ** exponent, self.digits)
+        return _at(self.digits, pow, self.value, exponent)
 
     def __neg__(self) -> "HPFloat":
         # negation rounds to the ambient mpmath precision, so wrap it too
-        with mp.workdps(self.digits + _GUARD):
-            return HPFloat(-self.value, self.digits)
+        return self._unary(operator.neg)
 
     def __abs__(self) -> "HPFloat":
-        with mp.workdps(self.digits + _GUARD):
-            return HPFloat(abs(self.value), self.digits)
+        return self._unary(abs)
 
     # -- comparisons (by value, precision is not identity) ---------------
 
@@ -169,8 +165,7 @@ class HPFloat:
     # -- elementary functions --------------------------------------------
 
     def _unary(self, op) -> "HPFloat":
-        with mp.workdps(self.digits + _GUARD):
-            return HPFloat(op(self.value), self.digits)
+        return _at(self.digits, op, self.value)
 
     def sqrt(self) -> "HPFloat":
         if self.value < 0:
@@ -211,10 +206,21 @@ def hpf(x: Scalar, digits: int = DEFAULT_DIGITS) -> HPFloat:
         raise TypeError("binary floats are ambiguous; pass a str, int or Fraction")
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"cannot build HPFloat from {type(x).__name__}")
-    with mp.workdps(digits + _GUARD):
-        if isinstance(x, Fraction):
-            return HPFloat(mp.mpf(x.numerator) / mp.mpf(x.denominator), digits)
-        return HPFloat(mp.mpf(x), digits)
+    if isinstance(x, Fraction):
+        return _at(digits, lambda a, b: mp.mpf(a) / mp.mpf(b), x.numerator, x.denominator)
+    return _at(digits, mp.mpf, x)
+
+
+def _at(digits: int, op, *args) -> HPFloat:
+    """HPFloat(op(*args), digits) with op run at digits + _GUARD working
+    digits.  It sets and restores mp.prec directly, which costs less than
+    entering ``mp.workdps``, and restores it also when op raises."""
+    saved = mp.prec
+    mp.dps = digits + _GUARD
+    try:
+        return HPFloat(op(*args), digits)
+    finally:
+        mp.prec = saved
 
 
 def pi(digits: int = DEFAULT_DIGITS) -> HPFloat:

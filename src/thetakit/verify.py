@@ -10,8 +10,9 @@ Both ground-truth series are the kernel's Gaussian lattice loop with a
 weight, over theta3; theta3, the moments and the moment polynomials R_2j(m)
 are computed once per context and kept with it.  The weights are given in
 the loop's fixed point: p^(2n) as an exact int, and H_2n(p/(sigma sqrt 2))
-by its recurrence on ints at the loop's scale, whose guard bits come from a
-bound on |H_2n| over the summed range; each series converts to mpf once.
+as a Horner sum in p^2 over its integer coefficients times powers of
+1/(sigma sqrt 2), formed once per scale, whose guard bits come from a bound
+on |H_2n| over the summed range; each series converts to mpf once.
 Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
@@ -26,13 +27,13 @@ budgets series truncation plus accumulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
@@ -169,14 +170,37 @@ def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
         lambda p, scale: p ** (2 * n) << scale, ctx, lambda p: 2 * n * p.bit_length()))
 
 
-def _hermite_fixed(order: int, two_x: int, scale: int) -> int:
-    """H_order(x) * 2^scale by the recurrence H_{j+1} = 2x H_j - 2j H_{j-1}
-    from H_{-1} = 0 and H_0 = 1, given 2x * 2^scale, with every product
-    truncated to the scale."""
-    h_prev, h = 0, 1 << scale
-    for j in range(order):
-        h_prev, h = h, (two_x * h >> scale) - 2 * j * h_prev
-    return h
+def _hermite_coefficients(order: int) -> list[int]:
+    """The ints c_k with H_order(x) = x^(order mod 2) sum_k c_k x^(2k):
+    c_k = (-1)^(h-k) order! 2^(2k+o) / ((h-k)! (2k+o)!) for order = 2h + o."""
+    half, odd = divmod(order, 2)
+    return [(-1) ** (half - k) * math.factorial(order) * 2 ** (2 * k + odd)
+            // (math.factorial(half - k) * math.factorial(2 * k + odd))
+            for k in range(half + 1)]
+
+
+def _hermite_scaled(n: int, u, scale: int) -> list[int]:
+    """V_k = c_k u^(2k) 2^scale for the coefficients c_k of H_2n and a
+    positive mpf u, so that sum_k V_k p^(2k) is H_2n(p u) 2^scale.  Each
+    V_k is truncated once, which adds less than sum_k p^(2k) units.  The
+    powers u^(2k) are int running products from u's exact mantissa, kept
+    to scale + 1 + bits(n) bits, so their relative error, below
+    k 2^(-scale-bits(n)), adds less than |H|(p u) units, where |H| has the
+    absolute values of the c_k."""
+    _, man, exp, _ = u._mpf_  # u = man 2^exp exactly
+    bits = scale + 1 + n.bit_length()
+    square, square_exp = man * man, 2 * exp
+    power, power_exp = 1, 0  # u^(2k) ~ power 2^power_exp
+    values = []
+    for c in _hermite_coefficients(2 * n):
+        shift = power_exp + scale
+        v = c * power
+        values.append(v << shift if shift >= 0 else v >> -shift)
+        power, power_exp = power * square, power_exp + square_exp
+        drop = power.bit_length() - bits
+        if drop > 0:
+            power, power_exp = power >> drop, power_exp + drop
+    return values
 
 
 def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
@@ -184,19 +208,35 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     summation; the Hermite factor only grows polynomially against the
     Gaussian-type decay of q^(p^2).
 
-    H_{2n} runs its recurrence in the fixed point of the lattice loop, at
-    x = p u with u = 1/(sigma sqrt 2).  By induction on the recurrence,
-    |H_m(x)| <= B^m with B = 2|x| + m (m >= 1), and the truncations of x and
-    of each step add up to less than m (2p + 1) B^m units of 2^(-S); that
-    product is the weight bound.  Near k = 0, u is large (sigma^2 is about
-    2q) and H_{2n} reaches about q^(-n), which the bound follows."""
+    At x = p u with u = 1/(sigma sqrt 2), H_{2n}(x) = sum_k c_k u^(2k) p^(2k)
+    with the ints c_k of ``_hermite_coefficients``.  Once per scale S of
+    the lattice loop, ``_hermite_scaled`` forms V_k = c_k u^(2k) 2^(S+g),
+    with g guard bits; each weight is then a Horner sum in p^2, whose
+    multipliers are small ints, shifted down by g.  |H|(x) = sum_k |c_k|
+    x^(2k) obeys the recurrence of H_m with a plus sign, so by induction
+    |H_m(x)| <= |H|(x) <= B^m with B = 2|x| + m (m >= 1).  In units of
+    2^(-S) a weight's error is below B^m from the powers of u, below
+    2^(-g) sum_k p^(2k) <= B^m from the V_k (g covers log2(n + 1) and,
+    for u < 1, m log2(1/u)) and below 1 from the final shift: in all below
+    m (2p + 1) B^m, the weight bound, as when H_m ran its recurrence at
+    every p.  At p = 0 the weight c_0 2^S is exact.  Near
+    k = 0, u is large (sigma^2 is about 2q) and H_{2n} reaches about
+    q^(-n), which the bound follows."""
     order = 2 * n
     with mp.workdps(ctx.digits + _GUARD):
         u = 1 / mp.sqrt(2 * ctx.sigma2.value)
     log2_u = _log2(u)
+    guard = max(0, math.ceil(-order * log2_u)) + (n + 1).bit_length()
+
+    @functools.lru_cache(maxsize=None)
+    def scaled(scale):
+        return _hermite_scaled(n, u, scale + guard)[::-1]
 
     def weight(p, scale):
-        return _hermite_fixed(order, 2 * p * to_fixed(u._mpf_, scale), scale)
+        p2, total = p * p, 0
+        for v in scaled(scale):
+            total = total * p2 + v
+        return total >> guard
 
     def weight_bits(p):
         # log2 B <= 1 + max(log2(2 p u), log2 m)

@@ -1,6 +1,7 @@
 """Cycle-peak statistics, the canonical data rows, and the convention
 reconciliation for the cycle-peak cumulant formula."""
 
+import itertools
 import json
 import math
 import random
@@ -73,6 +74,15 @@ class TestCountProfiles:
     def test_budget(self):
         with pytest.raises(ValueError):
             count_profiles(11)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_validated_cycle_peaks(self, n):
+        # count_profiles skips the permutation check of cycle_peaks
+        tally = {}
+        for perm in itertools.permutations(range(1, n + 1)):
+            key = cycle_peaks(perm)
+            tally[key] = tally.get(key, 0) + 1
+        assert count_profiles(n).counts == tally
 
 
 class TestPeakNumbers:

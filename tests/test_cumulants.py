@@ -215,8 +215,8 @@ class TestLambertTableOrder:
 class TestNoTranscendentalPerTerm:
     """The series loops step their powers of q by running products: no term
     evaluates sinh, cosh, exp or log, nor raises an mpf to a power.  The
-    Lambert factors are filled once per context, so a repeated order
-    divides nothing."""
+    Lambert factors are filled once per context, so a repeated order grows
+    no table entry and divides nothing."""
 
     def test_lambert_and_theta_loops(self, monkeypatch):
         # a cold context, built before the patch (contexts do use exp), so
@@ -237,10 +237,12 @@ class TestNoTranscendentalPerTerm:
             mpf_type, "__truediv__", lambda x, y: divisions.append(y) or mpf_div(x, y)
         )
         cold = cumulant_lambert(8, ctx)
-        filled = len(divisions)
+        table = ctx._series["lambert"].values
+        filled, divided = len(table), len(divisions)
         warm = cumulant_lambert(8, ctx)
         assert filled > 0, "the factor table was not filled under the patch"
-        assert len(divisions) == filled, "a repeated order divided again"
+        assert len(table) == filled, "a repeated order grew the table"
+        assert len(divisions) == divided, "a repeated order divided"
         assert warm.value == cold.value
         theta0(3, ctx.q)
         theta0(2, ctx.q)

@@ -30,7 +30,7 @@ from thetakit.numkernel import (
     theta,
     theta0,
 )
-from thetakit.verify import _hermite_fixed, verify_jacobi_transform
+from thetakit.verify import _hermite_coefficients, _hermite_scaled, verify_jacobi_transform
 
 from ellipk_oracle import ellipK_series
 from theta_product_oracle import theta3_product
@@ -92,6 +92,14 @@ class TestHPFloatScalar:
         q = (-(pi(50) * hpf("0.37", 50))).exp()
         back = -(q.log()) / pi(50)
         assert float(abs(back - hpf("0.37", 50))) < 1e-45
+
+    def test_failed_operation_restores_precision(self):
+        before = mp.prec
+        with pytest.raises(ZeroDivisionError):
+            hpf(1, 30) / 0
+        with pytest.raises(DomainError):
+            hpf(1, 10)
+        assert mp.prec == before
 
     def test_comparisons(self):
         assert hpf(1, 20) < hpf(2, 20)
@@ -270,28 +278,48 @@ class TestThetaSweep:
             assert abs(got - ref) <= abs(ref) * mp.mpf(10) ** (2 - digits)
 
 
+def _hermite_value(n, u, p, scale):
+    """H_2n(p u) 2^scale as the weighted lattice series forms it: the sum of
+    V_k p^(2k) over the scaled coefficients of ``_hermite_scaled``."""
+    return sum(v * p ** (2 * k) for k, v in enumerate(_hermite_scaled(n, u, scale)))
+
+
 class TestHermite:
-    """The fixed-point Hermite recurrence of the weighted lattice series:
-    at dyadic points every product is exact, so each value is an exact int
-    at any scale."""
+    """The integer coefficients of H_m and their fixed-point form in the
+    weighted lattice series: at dyadic u every power of u is exact, so
+    each value is an exact int at any scale."""
 
     def test_golden_values_at_one(self):
+        assert [sum(_hermite_coefficients(m)) for m in range(6)] == [1, 2, 2, -4, -20, -8]
         for scale in (0, 7, 200):
-            got = [_hermite_fixed(n, 2 << scale, scale) for n in range(6)]
-            assert got == [h << scale for h in (1, 2, 2, -4, -20, -8)]
+            got = [_hermite_value(n, mp.mpf(1), 1, scale) for n in range(3)]
+            assert got == [h << scale for h in (1, 2, -20)]
 
     def test_exact_fraction_input(self):
+        half = mp.mpf(1) / 2
         for scale in (1, 7, 200):
-            assert _hermite_fixed(2, 1 << scale, scale) == -1 << scale
-            assert _hermite_fixed(3, 1 << scale, scale) == -5 << scale
+            # x = p/2: H_2(1/2) = -1, H_4(1/2) = 1, H_2(3/2) = 7, H_4(3/2) = -15
+            assert _hermite_value(1, half, 1, scale) == -1 << scale
+            assert _hermite_value(2, half, 1, scale) == 1 << scale
+            assert _hermite_value(1, half, 3, scale) == 7 << scale
+            assert _hermite_value(2, half, 3, scale) == -15 << scale
 
     def test_truncated_point_matches_mpmath(self):
-        # x = 1/3 is not dyadic: each of the n products truncates once
+        # u = 1/3 is not dyadic: each power of u and each V_k truncates
         scale = 200
-        got = _hermite_fixed(12, (2 << scale) // 3, scale)
         with mp.workdps(80):
-            ref = mp.hermite(12, mp.mpf(1) / 3) * mp.mpf(2) ** scale
-        assert abs(got - ref) < 2 ** 40
+            third = mp.mpf(1) / 3
+            ref = mp.hermite(12, third) * mp.mpf(2) ** scale
+        assert abs(_hermite_value(6, third, 1, scale) - ref) < 2 ** 40
+
+    @pytest.mark.parametrize("x", (-3, 0, 1, 2, 7))
+    def test_coefficients_against_recurrence(self, x):
+        # H_{m+1} = 2x H_m - 2m H_{m-1}, exact in ints at integer x
+        h_prev, h = 0, 1
+        for m in range(17):
+            coefficients = _hermite_coefficients(m)
+            assert x ** (m % 2) * sum(c * x ** (2 * k) for k, c in enumerate(coefficients)) == h, m
+            h_prev, h = h, 2 * x * h - 2 * m * h_prev
 
 
 class TestGammaQuarter:
