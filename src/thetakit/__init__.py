@@ -6,150 +6,18 @@ integer sequences, and verifies every closed form against independent
 high-precision series oracles.
 """
 
-from .exactalg import (
-    ConsistencyError,
-    UniPoly,
-    binomial,
-    schett_reduced,
-)
-from .numkernel import (
-    DEFAULT_DIGITS,
-    DomainError,
-    HPFloat,
-    ModulusContext,
-    agm,
-    dual_context,
-    ellipE,
-    ellipK,
-    gamma_quarter,
-    hpf,
-    lemniscatic_context,
-    make_context,
-    parse_modulus,
-    pi,
-    pow10,
-    theta,
-    theta0,
-)
-from .cumulants import (
-    CumulantPoly,
-    EisensteinValue,
-    cumulant_eisenstein,
-    cumulant_lambert,
-    cumulant_poly,
-    cumulant_symmetry_residual,
-    cumulant_value,
-    p_poly,
-    symmetry_check_P,
-)
-from .moments import (
-    ConjectureRow,
-    MomentPoly,
-    a_sequence,
-    bell_moments,
-    conjecture_check,
-    d_sequence,
-    dk_sequence,
-    kappa_recurrence_check,
-    moments_determinant,
-    moments_from_cumulants,
-    moments_partition,
-    q_from_a,
-    q_sequence,
-    q_value,
-)
-from .combinatorics import (
-    CandidateVerdict,
-    CyclePeakProfile,
-    ReconciliationReport,
-    count_profiles,
-    cycle_peaks,
-    peak_numbers,
-    reconcile_thm11,
-)
-from .verify import (
-    VerificationReport,
-    default_grid,
-    run_suite,
-    series_moment,
-    suite_tolerance,
-    verify_dual_moment_relation,
-    verify_jacobi_transform,
-    verify_legendre,
-    verify_lambert_schett,
-    verify_phi_consistency,
-    verify_romik11,
-    verify_theorem1,
-    verify_theorem3,
-    verify_variance_symmetry,
-)
+from . import exactalg, numkernel, cumulants, moments, combinatorics, verify
+from .exactalg import *
+from .numkernel import *
+from .cumulants import *
+from .moments import *
+from .combinatorics import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateVerdict",
-    "ConjectureRow",
-    "ConsistencyError",
-    "CumulantPoly",
-    "CyclePeakProfile",
-    "DEFAULT_DIGITS",
-    "DomainError",
-    "EisensteinValue",
-    "HPFloat",
-    "ModulusContext",
-    "MomentPoly",
-    "ReconciliationReport",
-    "UniPoly",
-    "VerificationReport",
-    "a_sequence",
-    "agm",
-    "bell_moments",
-    "binomial",
-    "conjecture_check",
-    "count_profiles",
-    "cumulant_eisenstein",
-    "cumulant_lambert",
-    "cumulant_poly",
-    "cumulant_symmetry_residual",
-    "cumulant_value",
-    "cycle_peaks",
-    "d_sequence",
-    "default_grid",
-    "dk_sequence",
-    "dual_context",
-    "ellipE",
-    "ellipK",
-    "gamma_quarter",
-    "hpf",
-    "kappa_recurrence_check",
-    "lemniscatic_context",
-    "make_context",
-    "moments_determinant",
-    "moments_from_cumulants",
-    "moments_partition",
-    "p_poly",
-    "parse_modulus",
-    "peak_numbers",
-    "pi",
-    "pow10",
-    "q_from_a",
-    "q_sequence",
-    "q_value",
-    "reconcile_thm11",
-    "run_suite",
-    "schett_reduced",
-    "series_moment",
-    "suite_tolerance",
-    "symmetry_check_P",
-    "theta",
-    "theta0",
-    "verify_dual_moment_relation",
-    "verify_jacobi_transform",
-    "verify_lambert_schett",
-    "verify_legendre",
-    "verify_phi_consistency",
-    "verify_romik11",
-    "verify_theorem1",
-    "verify_theorem3",
-    "verify_variance_symmetry",
+    name
+    for module in (exactalg, numkernel, cumulants, moments, combinatorics, verify)
+    for name in module.__all__
 ]

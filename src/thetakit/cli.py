@@ -346,39 +346,35 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--count", type=int, default=6)
     seq.add_argument("--p", type=int, default=None, help="modulus parameter for dk (k = 1/sqrt p)")
     seq.add_argument("--scaled", action="store_true", help="apply the integrality scaling")
+    seq.set_defaults(handler=_cmd_sequences)
 
     pol = sub.add_parser("polys", parents=[common], help="print polynomial tables")
     pol.add_argument("--nmax", type=int, default=6)
+    pol.set_defaults(handler=_cmd_polys)
 
     ver = sub.add_parser("verify", parents=[common], help="run numeric identity suites")
     ver.add_argument("which", choices=list(_VERIFY_SUITES))
     ver.add_argument("--k", default=None, help="modulus: decimal in (0,1) or '1/sqrt2'")
     ver.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     ver.add_argument("--nmax", type=int, default=8)
+    ver.set_defaults(handler=_cmd_verify)
 
     con = sub.add_parser("conjecture", parents=[common], help="scaled integrality table")
     con.add_argument("--p", type=int, required=True)
     con.add_argument("--count", type=int, default=6)
+    con.set_defaults(handler=_cmd_conjecture)
 
     rec = sub.add_parser("reconcile", parents=[common], help="adjudicate the cycle-peak formula")
     rec.add_argument("--nmax", type=int, default=3)
+    rec.set_defaults(handler=_cmd_reconcile)
 
     return parser
-
-
-_HANDLERS = {
-    "sequences": _cmd_sequences,
-    "polys": _cmd_polys,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-    "reconcile": _cmd_reconcile,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1

@@ -228,9 +228,6 @@ def _candidate_sum(row: Sequence[int], n: int, fam, sgn) -> UniPoly:
         if count == 0:
             continue
         a, b = fam(n, j)
-        if a < 0 or b < 0:
-            # a negative exponent can only be matched by a zero count
-            return UniPoly.from_ints([10 ** 9])  # sentinel mismatch
         total = total + (m ** a) * (one_minus_m ** b) * (sgn(j) * count)
     return total * 2
 

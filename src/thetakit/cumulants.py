@@ -226,25 +226,18 @@ def cumulant_eisenstein(n: int, ctx: ModulusContext, lattice_cutoff: int) -> Eis
     a, b <= 2*lattice_cutoff - 1.  Only n >= 2 is admitted: the 2n = 2 sum
     converges conditionally and would be ordering-dependent.
 
-    The lattice is summed in float64 (numpy); its roundoff is orders of
-    magnitude below the truncation tail O(cutoff^(2-2n)), which is what the
+    The lattice is summed in Python complex floats; its roundoff is still
+    far below the truncation tail O(cutoff^(2-2n)), which is what the
     returned tail field estimates.
     """
-    import numpy as np  # only this lattice sum needs numpy; keep it off the CLI import
-
     if n < 2:
         raise DomainError("lattice-sum cumulants require n >= 2")
     if lattice_cutoff < 1:
         raise DomainError("lattice cutoff must be >= 1")
     digits = ctx.digits
-    odd = np.arange(1, 2 * lattice_cutoff, 2, dtype=np.float64)
-    c_f = float(ctx.c)
-    total = 0.0
-    chunk = 512
-    for start in range(0, odd.size, chunk):
-        a_block = odd[start : start + chunk, None]
-        w = a_block + 1j * (c_f * odd[None, :])
-        total += float(np.sum((w ** (-2 * n)).real))
+    odd = range(1, 2 * lattice_cutoff, 2)
+    column = [1j * float(ctx.c) * b for b in odd]
+    total = sum(sum([(a + w) ** (-2 * n) for w in column]).real for a in odd)
     with mp.workdps(digits + _GUARD):
         sign = 1 if (n + 1) % 2 == 0 else -1
         prefactor = sign * 4 * mp.factorial(2 * n - 1) / mp.pi ** (2 * n)

@@ -412,11 +412,7 @@ def moments_determinant(n: int, cumulants: list) -> object:
     def entry(r: int, c: int):
         if c == 0:
             return cumulants[r] * Fraction(1, math.factorial(r))
-        if c == r + 1:
-            return 1
-        if 1 <= c <= r:
-            return cumulants[r - c] * Fraction(-1, c * math.factorial(r - c))
-        return 0
+        return cumulants[r - c] * Fraction(-1, c * math.factorial(r - c))
 
     # determinant of the transpose (upper Hessenberg, unit subdiagonal):
     # D_k = A[k-1][k-1] D_{k-1} + sum_{j<k} (-1)^(k-j) A[j-1][k-1] D_{j-1}

@@ -442,7 +442,7 @@ class TestPlumbing:
         assert proc.stdout == "d(1) = 1\n"
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy serves only the lattice-sum cumulant, which no command runs
+        # thetakit depends on mpmath alone; nothing on the CLI path may pull numpy in
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, thetakit.cli; print('numpy' in sys.modules)"],
             capture_output=True, text=True, timeout=60,

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from thetakit.combinatorics import (
+    _EXPONENTS,
     PRINTED_CONVENTION,
     CyclePeakProfile,
     count_profiles,
@@ -167,6 +168,15 @@ class TestReconciliation:
         report = reconcile_thm11(4)
         assert report.winner == ("(j+1, n-j)", "(-1)^j")
         assert report.q_projection == [2, 0, -144, 0]
+
+    def test_exponent_maps_stay_nonnegative(self):
+        # every candidate power m^a (1-m)^b exists for each entry of a data row
+        for fam in _EXPONENTS.values():
+            for n in range(1, 5):
+                assert len(peak_numbers(n)) == n
+                for j in range(n):
+                    a, b = fam(n, j)
+                    assert a >= 0 and b >= 0, (n, j)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
