@@ -92,6 +92,8 @@ def _cmd_sequences(args) -> int:
     if args.count < 1:
         return _fail_usage("--count must be >= 1")
     which = args.which
+    if which != "dk" and (args.p is not None or args.scaled):
+        return _fail_usage(f"--p and --scaled apply to the dk sequence only, not to {which}")
     if which == "d":
         terms = [str(v) for v in d_sequence(args.count)]
         params: dict = {"count": args.count}

@@ -310,14 +310,23 @@ def reconcile_thm11(max_n: int = 3) -> ReconciliationReport:
         )
     enumeration_note = "  ".join(note_parts)
 
+    def labels(n: int) -> str:
+        if enum_matches[n]["value"]:
+            return "matches the plain value labels"
+        if enum_matches[n]["swapped"]:  # at order 1 the one peak is that of (2,1)
+            return ("needs the peak of (2,1) counted as odd (swapped labels)" if n == 1
+                    else "needs swapped labels")
+        return "matches neither"
+
+    uniform = [kind for kind in ("value", "swapped") if all(enum_matches[n][kind] for n in orders)]
+    # orders past the first that no labeling matches are left to the enumeration note
+    shown = [f"order {n} {labels(n)}" for n in range(1, (diverged or [max_n])[0] + 1)]
+    listed = " and ".join(shown) if len(shown) < 3 else ", ".join(shown[:-1]) + ", and " + shown[-1]
     parity_note = (
-        "No single parity labeling matches the data at every enumerated order: "
-        "order 1 needs the peak of (2,1) counted as odd (swapped labels), order 2 "
-        "matches the plain value labels, and order 3 matches neither.  The winning "
-        "form therefore fixes its table by the cumulant-polynomial expansion, with "
-        "enumeration as a low-order cross-check only."
-        if not all(enum_matches[n]["value"] for n in orders if n in enum_matches)
-        else "Value-parity labels match at every enumerated order."
+        f"{uniform[0].capitalize()}-parity labels match at every enumerated order." if uniform
+        else f"No single parity labeling matches the data at every enumerated order: {listed}.  "
+        "The winning form therefore fixes its table by the cumulant-polynomial expansion, "
+        "with enumeration as a low-order cross-check only."
     )
 
     printed = next(v for v in verdicts if (v.exponents, v.sign) == PRINTED_CONVENTION)

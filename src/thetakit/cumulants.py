@@ -7,13 +7,9 @@ Three independent routes to the same quantities:
            read off the EGF of the square of the sn solution;
   lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi)
                      = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)),
-           q = exp(-pi c) the nome; the factors 2 q^r / (1 - q^(2r)) are
-           one table per context of int (mantissa, exponent) pairs,
-           filled by int running products in q and shared by every
-           order; each order sums them on one fixed-point int (a term is
-           a factor's mantissa times the exact int r^(2n-1), shifted onto
-           a scale of the working precision plus guard bits above the
-           first factor), converted to mpf once;
+           q = exp(-pi c) the nome: the kernel's one series loop over
+           one factor table per context, shared by every order, with the
+           exact int weights r^(2n-1);
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
 
@@ -23,17 +19,16 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
     _GUARD,
-    _LOG2_10,
-    _log2,
+    _Factors,
+    _series_sum,
+    _times,
     DomainError,
     HPFloat,
     ModulusContext,
@@ -107,97 +102,41 @@ def cumulant_poly(n: int) -> CumulantPoly:
     return CumulantPoly(n=n, P=p_poly(n - 1), sign=sign)
 
 
-_TABLE_GUARD = 8  # bits of the Lambert factor table beyond the working precision
+def _lambert_factors(q: HPFloat) -> _Factors:
+    """The factors f_r = 2 q^r / (1 - q^(2r)) <= f_1 q^(r-1), r >= 1.  q^r
+    and q^(2r) are running products; 1 - q^(2r) is formed exactly on a 2^P
+    scale, with q^(2r) truncated onto it, and f_r is one int division,
+    whose quotient keeps at least P bits.  To first order f_r has a relative
+    error below 3r 2^(1-P) / (1 - q^2): r steps of the two running
+    products, the cancellation in 1 - q^(2r) and the quotient."""
 
-
-class _LambertFactors:
-    """The factors f_r = 2 q^r / (1 - q^(2r)) of one context, r = 1, 2, ...,
-    appended on demand, each an int pair (man, exp) with f_r ~ man 2^exp.
-
-    The table has a fixed relative precision of P bits, the context's
-    working precision (digits + _GUARD digits) plus _TABLE_GUARD guard bits,
-    so that its entries depend on the context alone, not on which order grew
-    it.  q^r and q^(2r) are running int products, each a P-bit mantissa
-    truncated after every step; 1 - q^(2r) is formed exactly on a 2^P
-    scale, with q^(2r) truncated onto it, and f_r is one int division, whose
-    quotient keeps at least P bits.  All truncations round down, and to
-    first order in 2^(-P) f_r has a relative error below
-    3r 2^(1-P) / (1 - q^2): r steps of the two running products, the
-    cancellation in 1 - q^(2r) and the quotient."""
-
-    __slots__ = ("bits", "q", "q2", "q_r", "q_2r", "values")
-
-    def __init__(self, q, bits: int) -> None:
-        self.bits = bits
-        _, man, exp, bc = q._mpf_  # q has at most bits bits: the shift is exact
-        self.q = self.q_r = (man << (bits - bc), exp - (bits - bc))
-        self.q2 = self.q_2r = self._times(self.q, self.q)
-        self.values: list[tuple[int, int]] = []
-
-    def _times(self, a, b):
-        """a * b, truncated to the table's precision."""
-        man = a[0] * b[0]
-        drop = man.bit_length() - self.bits
-        return man >> drop, a[1] + b[1] + drop
-
-    def __getitem__(self, r: int) -> tuple[int, int]:
-        values, bits = self.values, self.bits
-        while len(values) < r:
-            (num, num_exp), (sq, sq_exp) = self.q_r, self.q_2r
+    def fill(q1, bits):
+        q2 = q_2r = _times(q1, q1, bits)
+        q_r = q1
+        while True:
+            (num, num_exp), (sq, sq_exp) = q_r, q_2r
             # q^(2r) < 1 has exponent sq_exp <= -bits; (1 - q^(2r)) 2^bits
             denominator = (1 << bits) - (sq >> (-sq_exp - bits))
             # f_r = 2 num 2^num_exp / (denominator 2^(-bits))
-            values.append(((num << (bits + 1)) // denominator, num_exp))
-            self.q_r = self._times(self.q_r, self.q)
-            self.q_2r = self._times(self.q_2r, self.q2)
-        return values[r - 1]
+            yield (num << (bits + 1)) // denominator, num_exp
+            q_r, q_2r = _times(q_r, q1, bits), _times(q_2r, q2, bits)
+
+    return _Factors(q, lambda r: r - 1, fill)
 
 
 def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
     """Numeric kappa_{2n} by the alternating Lambert series in the nome,
     sum_r (-1)^(r-1) r^(2n-1) f_r with f_r = 1/sinh(c r pi) = 2 q^r / (1 - q^(2r))
-    and q = ctx.q, truncated when a term falls below 10^(-digits-5).  The
-    factors f_r are one table per context of int (mantissa, exponent)
-    pairs, shared by every order and grown by int running products to the
-    longest order asked (``_LambertFactors`` gives their precision and
-    error bound).
-
-    The sum runs on one int scaled by 2^S: each term is the exact product of
-    a factor's mantissa and the int r^(2n-1), shifted onto the scale, so it
-    is truncated once, and the threshold is an int on the same scale.  S is
-    the working precision plus guard bits above the first factor's
-    exponent: f_1 is the largest factor, and the guard bits are those of a
-    bound on the number of terms, which the truncations add up over.  The
-    int converts to mpf once, exactly; neither the fill nor the sum makes
-    an mpf operation, and no term evaluates a transcendental function."""
+    and q = ctx.q, by the kernel's ``_series_sum`` over the context's one
+    table of ``_lambert_factors``, grown to the longest order asked, with
+    the exact int weight r^(2n-1): no mpf operation, no transcendental term."""
     if n < 1:
         raise DomainError("cumulant order index must be >= 1")
-    digits = ctx.digits
     power = 2 * n - 1
-    with mp.workdps(digits + _GUARD):
-        q = +ctx.q.value
-        factors = ctx._once("lambert", lambda: _LambertFactors(q, mp.prec + _TABLE_GUARD))
-        man, exp = factors[1]
-        top = exp + man.bit_length()  # f_1 < 2^top
-        # f_r <= f_1 q^(r-1), so the terms are below 10^(-digits-5) by the
-        # first r with (r - 1) log2(1/q) >= log2 10^(digits+5) + top + (2n - 1) log2 r
-        decay, limit = -_log2(q), (digits + 5) * _LOG2_10 + top
-        last = 2
-        while (last - 1) * decay < limit + power * math.log2(last):
-            last *= 2
-        scale = mp.prec + last.bit_length() - top
-        threshold = (1 << scale) // 10 ** (digits + 5)
-        total, r = 0, 1
-        while True:
-            man, exp = factors[r]
-            shift = exp + scale
-            term = man * r ** power
-            term = term << shift if shift >= 0 else term >> -shift
-            total += -term if r % 2 == 0 else term
-            if term < threshold:
-                break
-            r += 1
-        return HPFloat(mp.make_mpf(from_man_exp(total, -scale)), digits)
+    factors = ctx._once("lambert", lambda: _lambert_factors(ctx.q))
+    total = _series_sum(factors, lambda r: (r ** power if r % 2 else -r ** power, 0),
+                        lambda r: (r ** power).bit_length())
+    return HPFloat(total, ctx.digits)
 
 
 def cumulant_value(order: int, ctx: ModulusContext) -> HPFloat:

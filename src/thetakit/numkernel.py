@@ -7,26 +7,27 @@ ModulusContext bundle.
 
 One AGM loop, ``_agm_pass``, gives each modulus K and E from one pass: K and
 ``agm`` take its mean at 10^(1-digits), a looser rule than E's 10^(-digits-5)
-that an exact modulus (ROADMAP direction 1) retires.  The theta series and
-the weighted moment series of ``verify`` are all the one Gaussian lattice
-loop ``_gauss_sum``, which steps q^((n+h)^2) by running products.
+that an exact modulus (ROADMAP direction 1) retires.
 
-The series loops (``_gauss_sum`` here, the Lambert sum of ``cumulants``)
-run on fixed-point Python ints: a value x is the int x * 2^S, rounded down.
-The scale S is the working precision plus guard bits, sized from the call's
-own digits, nome and weight bound so that the truncations of all terms,
-times the largest weight over the summed range, stay below 2^(-prec) of the
-sum.  Each call converts to mpf once, at the end, and keeps the scale's
-precision: the first HPFloat operation on the result rounds it, so the
-conversion adds no rounding of its own.  ``_log2`` reads the size of an
-mpf without an mpf operation.
+Every series in the nome (theta, the Lambert cumulants of ``cumulants``,
+the moment and Hermite sums of ``verify``) is the one loop ``_series_sum``
+over one table type, ``_Factors``, of int (mantissa, exponent) pairs at a
+fixed relative precision of P = prec + _TABLE_GUARD bits, grown on demand
+by running int products.  A context keeps its tables; a bare-nome theta
+call builds a throwaway one.  The one error analysis: a factor stepped n
+times is off by about n^2 2^(1-P) relative at most; the truncations of the
+terms, the weights' own errors and the tail each stay below about
+2^(-prec) times the first factor (``_series_sum``).  Each call converts to
+mpf once, exactly, and keeps the scale's precision: the first HPFloat
+operation on the result rounds it, so the conversion adds no rounding of
+its own.  ``_log2`` reads the size of an mpf without an mpf operation.
 
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
 parses and memoises on the parsed value and the precision, up to
 ``_CONTEXT_MEMO`` entries, and ``dual_context`` is the one builder of the
 complementary context.  m = k^2 is formed once, as ``ModulusContext.m``.
-Series sums that depend on the context alone (theta3, the Lambert factors,
+Series sums that depend on the context alone (theta3, the factor tables,
 the moments) are kept with it through ``ModulusContext._once``, so the
 context memo bounds them and clearing it drops them.
 
@@ -45,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 __all__ = [
     "DEFAULT_DIGITS",
@@ -71,7 +72,7 @@ __all__ = [
 DEFAULT_DIGITS = 50
 _GUARD = 10  # extra working digits for every primitive
 _CONTEXT_MEMO = 32  # contexts kept by make_context
-_LOG2_10 = math.log2(10)
+_TABLE_GUARD = 8  # bits of a factor table beyond the working precision
 
 Scalar = Union["HPFloat", int, Fraction, str]
 
@@ -302,7 +303,7 @@ def ellipE(k: HPFloat) -> HPFloat:
 
 
 # ---------------------------------------------------------------------------
-# Theta series
+# Series in the nome: one factor table, one fixed-point loop, theta
 # ---------------------------------------------------------------------------
 
 
@@ -317,55 +318,102 @@ def _log2(x) -> float:
     return math.log2(man) + exp
 
 
-def _gauss_sum(q, digits: int, weight: Callable[[int, int], int], half: bool = False,
-               weight_bits: Callable[[int], int] = lambda n: 0):
-    """sum_{n in Z} w(n) q^((n+h)^2) for a weight symmetric about -h, with
-    h = 1/2 on the half lattice and 0 otherwise, folded onto n >= 0, on
-    fixed-point ints.
+def _pair(x, bits: int) -> tuple[int, int]:
+    """A positive mpf as a (man, exp) pair with a bits-bit mantissa, exact
+    unless the mpf has more bits, which are truncated."""
+    _, man, exp, bc = x._mpf_
+    shift = bits - bc
+    return man << shift if shift >= 0 else man >> -shift, exp - shift
 
-    weight(n, S) returns w(n) * 2^S as an int, and weight_bits(n) bounds,
-    up to index n, both log2 |w| and log2 of the error of weight(n, S) in
-    units of 2^(-S); the default suits |w| <= 1.  Each Gaussian factor is
-    kept relative to the first one stepped, g0 = q^(1/4) on the half
-    lattice and q otherwise, and is a running product:
-    q^((n+1+h)^2 - (n+h)^2) = q^(2n+1+2h), so only the half lattice takes a
-    root, q^(1/4), once.  S is the working precision plus the weight bound
-    and the bits of the last index the sum can reach (a power of two past
-    the point where q^(n^2) times the weight bound meets the threshold):
-    each term is truncated once by less than 2^(-S), so all of them
-    together stay 2^(-prec) below the relative factor 1 the loop starts
-    from, and a sum of size q (a moment, whose w(0) is 0) keeps its
-    relative precision.  The result w(0) + 2 g0 (sum of the relative
-    terms) is converted to mpf once, at the scale's precision.  Stops once
-    two consecutive terms, and their Gaussian factors, fall below
-    10^(-digits-5), so a small weight cannot end the sum early."""
-    # the sum ends by the first power of two n at which q^(n^2) times the
-    # weight bound is below the threshold
-    log2_q, limit = _log2(q), (digits + 5) * _LOG2_10
-    last = 1
-    while -log2_q * last * last < limit + weight_bits(last):
-        last *= 2
-    scale = mp.prec + weight_bits(last) + last.bit_length()
-    g0 = mp.sqrt(mp.sqrt(q)) if half else q
-    _, g_man, g_exp, _ = g0._mpf_
-    # the threshold 10^(-digits-5), divided by g0, on the scale
-    threshold = (1 << (scale - g_exp)) // (10 ** (digits + 5) * g_man)
-    q1 = to_fixed(q._mpf_, scale)
-    q2 = q1 * q1 >> scale
-    if half:
-        lead, n, step = 0, 0, q2
-    else:
-        lead, n, step = weight(0, scale), 1, q2 * q1 >> scale
-    total, gauss, below = 0, 1 << scale, 0
-    while below < 2:
-        term = weight(n, scale) * gauss >> scale
-        total += term
-        below = below + 1 if max(abs(term), gauss) < threshold else 0
-        gauss = gauss * step >> scale
-        step = step * q2 >> scale
+
+def _times(a, b, bits: int) -> tuple[int, int]:
+    """The product of two (man, exp) pairs, truncated to at most bits bits."""
+    man = a[0] * b[0]
+    drop = max(0, man.bit_length() - bits)
+    return man >> drop, a[1] + b[1] + drop
+
+
+class _Factors:
+    """The factors f_n, n >= 1, of one series in a nome q, appended on
+    demand as int pairs (man, exp), f_n ~ man 2^exp, at a fixed relative
+    precision of P = prec + _TABLE_GUARD bits (prec for digits + _GUARD), so
+    that an entry depends on q alone, not on which sum grew it.  fill(q, P)
+    generates them from q as a P-bit pair by running int products, each
+    truncated down to P bits.  exponent(n) bounds f_n <= f_1 q^exponent(n),
+    which gives ``reach`` its index bound from the nome alone."""
+
+    __slots__ = ("prec", "decay", "exponent", "values", "_more")
+
+    def __init__(self, q: HPFloat, exponent: Callable[[int], int], fill) -> None:
+        self.prec = dps_to_prec(q.digits + _GUARD)
+        self.exponent, self.decay = exponent, -_log2(q.value)
+        self.values: list[tuple[int, int]] = []
+        bits = self.prec + _TABLE_GUARD
+        self._more = fill(_pair(q.value, bits), bits)
+
+    def __getitem__(self, n: int) -> tuple[int, int]:
+        values = self.values
+        while len(values) < n:
+            values.append(next(self._more))
+        return values[n - 1]
+
+    def reach(self, weight_bits: Callable[[int], int]) -> int:
+        """The first power of two n at which f_n 2^weight_bits(n) is below
+        2^(-prec) f_1 by the bound f_n <= f_1 q^exponent(n)."""
+        last = 1
+        while self.decay * self.exponent(last) < self.prec + weight_bits(last):
+            last *= 2
+        return last
+
+
+def _series_sum(factors: _Factors, weight: Callable[[int], tuple[int, int]],
+                weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0):
+    """lead + sum_{n >= 1} w(n) f_n over a factor table, as an mpf.
+
+    weight(n) is w(n) as an int pair (v, s), w(n) ~ v 2^(-s), so an exact
+    int (s = 0) is never shifted before the multiply; weight_bits(n) bounds
+    log2 |w| up to n.  The sum is one int scaled by 2^S, S = prec plus the
+    bits of the index bound ``reach`` above f_1 < 2^top: each term is
+    truncated once onto it, so all of them stay below 2^(top-prec).  It
+    stops after the first factor below 2^(top-prec) over the weight bound
+    at ``reach``, so a small weight cannot end it early and the tail is of
+    that order.  The lead is added exactly and the total converts to mpf
+    once, exactly: the loop makes no mpf operation."""
+    last = factors.reach(weight_bits)
+    man, exp = factors[1]
+    top = exp + man.bit_length()
+    scale = factors.prec + last.bit_length() - top
+    stop = top - factors.prec - weight_bits(last)
+    total, n = lead << scale, 1
+    while True:
+        man, exp = factors[n]
+        v, s = weight(n)
+        shift, term = exp - s + scale, man * v
+        total += term << shift if shift >= 0 else term >> -shift
+        if exp + man.bit_length() <= stop:
+            return mp.make_mpf(from_man_exp(total, -scale))
         n += 1
-    with mp.workprec(scale):
-        return mp.mpf((lead, -scale)) + g0 * mp.mpf((total, 1 - scale))
+
+
+def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
+    """The folded Gaussian factors f_n = 2 q^((n-h)^2), n >= 1, of the
+    lattice sums, with h = 0, or h = 1/2 on the half lattice.  Each is a
+    running product: q^((n+1-h)^2 - (n-h)^2) = q^(2n+1-2h) steps by q^2, so
+    only the half lattice takes a root, q^(1/4), once.  After n steps f_n
+    has a relative error below (n + 1)^2 2^(1-P)."""
+
+    def fill(q1, bits):
+        q2 = _times(q1, q1, bits)
+        if half:
+            with mp.workprec(bits):
+                gauss, step = _pair(mp.sqrt(mp.sqrt(q.value)), bits), q2
+        else:
+            gauss, step = q1, _times(q2, q1, bits)
+        while True:
+            yield gauss[0], gauss[1] + 1
+            gauss, step = _times(gauss, step, bits), _times(step, q2, bits)
+
+    return _Factors(q, (lambda n: n * n - n) if half else (lambda n: n * n - 1), fill)
 
 
 # theta index -> (half lattice, alternating sign, trigonometric factor)
@@ -376,10 +424,11 @@ _THETA_SERIES = {
 
 def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     """Theta function value theta_i(zarg, q) for real zarg, i in 1..4: the
-    lattice sum of sign^n q^((n+h)^2) trig((2n+2h) z), with (h, sign, trig)
-    from ``_THETA_SERIES``.  At z = 0 the trigonometric factor is the exact
-    int trig(0) and is not evaluated per term; elsewhere each term evaluates
-    it in mpf and converts it to the fixed point of ``_gauss_sum``."""
+    lattice sum of sign^(n-h) q^((n-h)^2) trig((2n-2h) z), with (h, sign,
+    trig) from ``_THETA_SERIES``, by ``_series_sum`` over a throwaway table
+    with the full lattice's n = 0 term as the lead 1.  At z = 0 the
+    trigonometric factor is the exact int trig(0); elsewhere each term
+    evaluates it in mpf and passes its mantissa and exponent as they are."""
     _require_nome(q)
     if i not in _THETA_SERIES:
         raise DomainError("theta index must be 1, 2, 3 or 4")
@@ -390,12 +439,13 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
         zv = +z_h.value
         at_zero = int(trig(0))  # 1 for cos, 0 for sin
 
-        def weight(n, scale):
-            if zv:
-                return sign ** n * to_fixed(trig((2 * n + half) * zv)._mpf_, scale)
-            return sign ** n * at_zero << scale
+        def weight(n):
+            if not zv:
+                return sign ** (n - half) * at_zero, 0
+            negative, man, exp, _ = trig((2 * n - half) * zv)._mpf_
+            return sign ** (n - half) * (-man if negative else man), -exp
 
-        return HPFloat(_gauss_sum(+q.value, digits, weight, half), digits)
+        return HPFloat(_series_sum(_gaussian_factors(q, half), weight, lead=1 - half), digits)
 
 
 def theta0(i: int, q: HPFloat) -> HPFloat:

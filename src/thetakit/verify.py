@@ -6,13 +6,12 @@ lemniscatic special case, the dual-modulus variance and moment relations,
 and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
-Both ground-truth series are the kernel's Gaussian lattice loop with a
-weight, over theta3; theta3, the moments and the moment polynomials R_2j(m)
-are computed once per context and kept with it.  The weights are given in
-the loop's fixed point: p^(2n) as an exact int, and H_2n(p/(sigma sqrt 2))
-as a Horner sum in p^2 over its integer coefficients times powers of
-1/(sigma sqrt 2), formed once per scale, whose guard bits come from a bound
-on |H_2n| over the summed range; each series converts to mpf once.
+Both ground-truth series are the kernel's one series loop, with a weight,
+over the context's one Gaussian factor table, divided by theta3; the table,
+theta3, the moments and the moment polynomials R_2j(m) are kept with the
+context.  The weights are ints: p^(2n) exactly, and H_2n(p/(sigma sqrt 2))
+as a Horner sum in p^2 of its fixed-point coefficients, whose guard bits
+come from a bound on |H_2n| over the summed range.
 Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
@@ -27,7 +26,6 @@ budgets series truncation plus accumulation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +38,11 @@ from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
 from .numkernel import (
     _GUARD,
-    _gauss_sum,
+    _Factors,
+    _gaussian_factors,
     _log2,
+    _series_sum,
+    _times,
     DEFAULT_DIGITS,
     LEMNISCATIC_TOKEN,
     DomainError,
@@ -144,20 +145,21 @@ def _theta3(ctx: ModulusContext) -> HPFloat:
     return ctx._once("theta3", lambda: theta0(3, ctx.q))
 
 
-def _weighted_series(weight: Callable[[int, int], int], ctx: ModulusContext,
-                     weight_bits: Callable[[int], int]) -> HPFloat:
-    """sum_p w(p) q^(p^2) / theta3(q) for an even weight given as
-    ``_gauss_sum`` takes it: weight(p, S) is w(p) 2^S as an int, and
-    weight_bits(p) bounds its size and error up to p.  The normaliser theta3
-    is the context's one theta series sum, shared by every weight and
-    order."""
-    digits = ctx.digits
-    with mp.workdps(digits + _GUARD):
-        total = _gauss_sum(+ctx.q.value, digits, weight, weight_bits=weight_bits)
-        theta3 = _theta3(ctx).value
-        # a quotient of two series keeps their precision, not the working one
-        with mp.workprec(max(total.bc, theta3.bc)):
-            return HPFloat(total / theta3, digits)
+def _gaussian(ctx: ModulusContext) -> _Factors:
+    """The context's Gaussian factor table, shared by every weight and order."""
+    return ctx._once("gauss", lambda: _gaussian_factors(ctx.q))
+
+
+def _weighted_series(weight: Callable[[int], tuple[int, int]], ctx: ModulusContext,
+                     weight_bits: Callable[[int], int], lead: int) -> HPFloat:
+    """sum_p w(p) q^(p^2) / theta3(q) for an even weight, as
+    ``_series_sum`` takes it over the context's factors 2 q^(p^2), p >= 1,
+    with the exact int lead w(0), divided by the context's one theta3."""
+    total = _series_sum(_gaussian(ctx), weight, weight_bits, lead)
+    theta3 = _theta3(ctx).value
+    # a quotient of two series keeps their precision, not the working one
+    with mp.workprec(max(total.bc, theta3.bc)):
+        return HPFloat(total / theta3, ctx.digits)
 
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
@@ -167,7 +169,7 @@ def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
     if n < 0:
         raise DomainError("moment index must be >= 0")
     return ctx._once(("moment", n), lambda: _weighted_series(
-        lambda p, scale: p ** (2 * n) << scale, ctx, lambda p: 2 * n * p.bit_length()))
+        lambda p: (p ** (2 * n), 0), ctx, lambda p: (p ** (2 * n)).bit_length(), int(n == 0)))
 
 
 def _hermite_coefficients(order: int) -> list[int]:
@@ -189,17 +191,13 @@ def _hermite_scaled(n: int, u, scale: int) -> list[int]:
     absolute values of the c_k."""
     _, man, exp, _ = u._mpf_  # u = man 2^exp exactly
     bits = scale + 1 + n.bit_length()
-    square, square_exp = man * man, 2 * exp
-    power, power_exp = 1, 0  # u^(2k) ~ power 2^power_exp
+    square, power = (man * man, 2 * exp), (1, 0)  # u^2, and u^(2k) as (man, exp)
     values = []
     for c in _hermite_coefficients(2 * n):
-        shift = power_exp + scale
-        v = c * power
+        shift = power[1] + scale
+        v = c * power[0]
         values.append(v << shift if shift >= 0 else v >> -shift)
-        power, power_exp = power * square, power_exp + square_exp
-        drop = power.bit_length() - bits
-        if drop > 0:
-            power, power_exp = power >> drop, power_exp + drop
+        power = _times(power, square, bits)
     return values
 
 
@@ -209,41 +207,42 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     Gaussian-type decay of q^(p^2).
 
     At x = p u with u = 1/(sigma sqrt 2), H_{2n}(x) = sum_k c_k u^(2k) p^(2k)
-    with the ints c_k of ``_hermite_coefficients``.  Once per scale S of
-    the lattice loop, ``_hermite_scaled`` forms V_k = c_k u^(2k) 2^(S+g),
-    with g guard bits; each weight is then a Horner sum in p^2, whose
-    multipliers are small ints, shifted down by g.  |H|(x) = sum_k |c_k|
-    x^(2k) obeys the recurrence of H_m with a plus sign, so by induction
-    |H_m(x)| <= |H|(x) <= B^m with B = 2|x| + m (m >= 1).  In units of
-    2^(-S) a weight's error is below B^m from the powers of u, below
-    2^(-g) sum_k p^(2k) <= B^m from the V_k (g covers log2(n + 1) and,
-    for u < 1, m log2(1/u)) and below 1 from the final shift: in all below
-    m (2p + 1) B^m, the weight bound, as when H_m ran its recurrence at
-    every p.  At p = 0 the weight c_0 2^S is exact.  Near
-    k = 0, u is large (sigma^2 is about 2q) and H_{2n} reaches about
-    q^(-n), which the bound follows."""
+    with the ints c_k of ``_hermite_coefficients``.  ``_hermite_scaled``
+    forms V_k = c_k u^(2k) 2^(s+g) once, with g guard bits, and a weight is
+    (sum_k V_k p^(2k), s + g), a Horner sum with small int multipliers.
+    |H|(x) = sum_k |c_k| x^(2k) obeys the recurrence of H_m with a plus
+    sign, so by induction |H_m(x)| <= |H|(x) <= B^m with B = 2|x| + m
+    (m >= 1).  In units of 2^(-s) a weight's error is below B^m from the
+    powers of u and below 2^(-g) sum_k p^(2k) <= B^m from the V_k (g covers
+    log2(n + 1) and, for u < 1, m log2(1/u)): in all below m (2p + 1) B^m,
+    the weight bound.  s is the loop's scale above its first factor plus
+    that bound at the loop's index bound, so a weight's error times its
+    factor stays below one unit of the scale.  At p = 0 the weight is the
+    exact int lead c_0.  Near k = 0, u is large (sigma^2 is about 2q) and
+    H_{2n} reaches about q^(-n), which the bound follows."""
     order = 2 * n
     with mp.workdps(ctx.digits + _GUARD):
         u = 1 / mp.sqrt(2 * ctx.sigma2.value)
     log2_u = _log2(u)
-    guard = max(0, math.ceil(-order * log2_u)) + (n + 1).bit_length()
-
-    @functools.lru_cache(maxsize=None)
-    def scaled(scale):
-        return _hermite_scaled(n, u, scale + guard)[::-1]
-
-    def weight(p, scale):
-        p2, total = p * p, 0
-        for v in scaled(scale):
-            total = total * p2 + v
-        return total >> guard
 
     def weight_bits(p):
         # log2 B <= 1 + max(log2(2 p u), log2 m)
         log2_b = 1 + max(1 + p.bit_length() + log2_u, order.bit_length())
         return math.ceil(order * log2_b) + (order * (2 * p + 1)).bit_length()
 
-    return _weighted_series(weight, ctx, weight_bits)
+    factors = _gaussian(ctx)
+    last = factors.reach(weight_bits)
+    scale = factors.prec + last.bit_length() + weight_bits(last)
+    scale += max(0, math.ceil(-order * log2_u)) + (n + 1).bit_length()
+    scaled = _hermite_scaled(n, u, scale)[::-1]
+
+    def weight(p):
+        p2, total = p * p, 0
+        for v in scaled:
+            total = total * p2 + v
+        return total, scale
+
+    return _weighted_series(weight, ctx, weight_bits, _hermite_coefficients(order)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,14 @@ class TestSequences:
         assert code == 2
         assert "scal" in err.lower() or "p" in err.lower()
 
+    @pytest.mark.parametrize("which", ["d", "q"])
+    @pytest.mark.parametrize("flags", [["--p", "3"], ["--scaled"], ["--p", "3", "--scaled"]])
+    def test_dk_flags_on_other_sequences_are_usage_errors(self, capsys, which, flags):
+        code, out, err = run_cli("sequences", which, *flags, "--count", "2", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "dk sequence only" in err
+
     def test_json_shape(self, capsys):
         code, out, _ = run_cli(
             "sequences", "d", "--count", "3", "--format", "json", capsys=capsys
@@ -316,6 +324,18 @@ class TestReconcile:
     def test_nmax_out_of_range(self, capsys):
         code, _, err = run_cli("reconcile", "--nmax", "5", capsys=capsys)
         assert code == 2
+
+    def test_parity_note_states_only_enumerated_orders(self, capsys):
+        notes = {}
+        for nmax in ("1", "2"):
+            code, out, _ = run_cli("reconcile", "--nmax", nmax, "--format", "json", capsys=capsys)
+            assert code == 0
+            notes[nmax] = json.loads(out)["parity_note"]
+        # order 1 alone matches the swapped labels
+        assert notes["1"] == "Swapped-parity labels match at every enumerated order."
+        assert ("order 1 needs the peak of (2,1) counted as odd (swapped labels) and order 2 "
+                "matches the plain value labels." in notes["2"])
+        assert all("order 3" not in note for note in notes.values())
 
     def test_json_verdicts(self, capsys):
         code, out, _ = run_cli("reconcile", "--nmax", "2", "--format", "json", capsys=capsys)

@@ -18,6 +18,7 @@ from thetakit.cumulants import (
 )
 from thetakit.exactalg import UniPoly
 from thetakit.numkernel import DomainError, hpf, lemniscatic_context, make_context, theta0
+from thetakit.verify import hermite_weighted_series, series_moment
 
 from lambert_oracle import lambert_sinh
 
@@ -195,8 +196,14 @@ class TestLambertAgainstSinhOracle:
 
 
 class TestLambertTableOrder:
-    """One factor table per context serves every order: kappa_{2n} must not
+    """One factor table per context serves every order: kappa_{2n}, and the
+    moment and Hermite sums over the context's Gaussian table, must not
     depend on which order grew the table, nor on whether it was warm."""
+
+    @staticmethod
+    def _sums(ctx, orders):
+        return [(cumulant_lambert(n, ctx).value._mpf_, series_moment(n, ctx).value._mpf_,
+                 hermite_weighted_series(n, ctx).value._mpf_) for n in orders]
 
     @pytest.mark.parametrize("digits", [30, 500])
     @pytest.mark.parametrize("k", ("1e-12", "0.3", "1/sqrt2", "0.9"))
@@ -204,11 +211,13 @@ class TestLambertTableOrder:
         orders = range(1, ORACLE_NMAX + 1)
         numkernel._build_context.cache_clear()
         ctx = make_context(k, digits)
-        upward = [cumulant_lambert(n, ctx).value._mpf_ for n in orders]
+        upward = self._sums(ctx, orders)
         numkernel._build_context.cache_clear()
         ctx = make_context(k, digits)
-        downward = [cumulant_lambert(n, ctx).value._mpf_ for n in reversed(orders)][::-1]
-        warm = [cumulant_lambert(n, ctx).value._mpf_ for n in orders]
+        downward = self._sums(ctx, reversed(orders))[::-1]
+        for n in orders:  # keep the tables, but sum every moment again
+            del ctx._series[("moment", n)]
+        warm = self._sums(ctx, orders)
         assert upward == downward == warm
 
 
@@ -216,7 +225,8 @@ class TestNoTranscendentalPerTerm:
     """The series loops step their powers of q by running products: no term
     evaluates sinh, cosh, exp or log, nor raises an mpf to a power.  The
     Lambert factors are filled once per context, so a repeated order grows
-    no table entry and divides nothing."""
+    no table entry and divides nothing; so are the Gaussian factors of the
+    moment sums."""
 
     def test_lambert_and_theta_loops(self, monkeypatch):
         # a cold context, built before the patch (contexts do use exp), so
@@ -244,6 +254,12 @@ class TestNoTranscendentalPerTerm:
         assert len(table) == filled, "a repeated order grew the table"
         assert len(divisions) == divided, "a repeated order divided"
         assert warm.value == cold.value
+        moment = series_moment(8, ctx)
+        gauss = ctx._series["gauss"].values
+        filled = len(gauss)
+        del ctx._series[("moment", 8)]
+        assert series_moment(8, ctx).value == moment.value
+        assert len(gauss) == filled, "a repeated moment grew the Gaussian table"
         theta0(3, ctx.q)
         theta0(2, ctx.q)
         # one power each, for the 10^(-digits-5) threshold

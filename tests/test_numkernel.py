@@ -204,10 +204,11 @@ class TestAgmAndElliptic:
 
 class TestTheta:
     def test_theta0_oracles_at_q01(self):
-        q = hpf("0.1", 50)
-        assert_close(theta0(3, q), THETA3_Q01)
-        assert_close(theta0(2, q), THETA2_Q01)
-        assert_close(theta0(4, q), THETA4_Q01)
+        # the relabelled nome keeps a mantissa longer than its working precision
+        for q in (hpf("0.1", 50), hpf(hpf("0.1", 100), 50)):
+            assert_close(theta0(3, q), THETA3_Q01)
+            assert_close(theta0(2, q), THETA2_Q01)
+            assert_close(theta0(4, q), THETA4_Q01)
 
     def test_theta_with_argument(self):
         q = hpf("0.2", 50)
@@ -246,9 +247,9 @@ class TestTheta:
 
 # theta_i(z, q) against mpmath's jtheta at digits + 60 (an oracle the kernel
 # never calls).  theta4 near q = 1 is tiny and its alternating series cancels,
-# so five points miss the 10^(2 - digits) relative bound.
+# so four points miss the 10^(2 - digits) relative bound.
 SWEEP_Q = ("1e-30", "1e-4", "0.01", "0.1", "0.3", "0.5", "0.8", "0.95")
-THETA4_CANCELS = {("0", 20), ("0", 30), ("0", 50), ("0", 137), ("0.4", 20)}
+THETA4_CANCELS = {("0", 20), ("0", 30), ("0", 50), ("0", 137)}
 
 
 def _sweep_cases():
