@@ -16,9 +16,8 @@ peak enumeration does and does not corroborate the data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import ConsistencyError, UniPoly
 from .cumulants import p_poly
@@ -68,8 +67,7 @@ def _cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
     return odd, even
 
 
-@dataclass(frozen=True)
-class CyclePeakProfile:
+class CyclePeakProfile(NamedTuple):
     """Exhaustive peak-count table for S_n: counts[(i, j)] = number of
     permutations with i odd-valued and j even-valued cycle peaks."""
 
@@ -162,8 +160,7 @@ _SIGNS: dict[str, object] = {
 PRINTED_CONVENTION = ("(j+1, n-j+1)", "(-1)^(j-1)")
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     """Exact verdict for one (exponent map, sign) candidate."""
 
     exponents: str
@@ -172,8 +169,7 @@ class CandidateVerdict:
     residuals: dict[int, str]
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
+class ReconciliationReport(NamedTuple):
     """Deterministic reconciliation outcome.
 
     data_rows holds the canonical integer table rows (see peak_numbers);
@@ -185,7 +181,7 @@ class ReconciliationReport:
     max_n: int
     data_rows: dict[int, tuple[int, ...]]
     peak_tables: dict[int, dict[str, dict[int, int]]]
-    verdicts: list[CandidateVerdict] = field(repr=False)
+    verdicts: list[CandidateVerdict]
     winner: tuple[str, str] | None
     enumeration_note: str
     parity_note: str

@@ -19,7 +19,7 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CumulantPoly:
+class CumulantPoly(NamedTuple):
     """Exact cumulant of order 2n in graded form.
 
     kappa_{2n}(k) = sign * (z/2)^(2n) * P(m) with sign = (-1)^(n-1) and
@@ -148,8 +147,7 @@ def cumulant_value(order: int, ctx: ModulusContext) -> HPFloat:
     return cumulant_lambert(order // 2, ctx)
 
 
-@dataclass(frozen=True)
-class EisensteinValue:
+class EisensteinValue(NamedTuple):
     """A truncated lattice-sum cumulant and its crude tail estimate."""
 
     value: HPFloat

@@ -19,7 +19,6 @@ the trivariate operator route, kept in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -33,6 +32,36 @@ __all__ = [
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; this signals a pipeline bug."""
+
+
+class _Frozen:
+    """Base of the immutable __slots__ value classes (UniPoly, HPFloat,
+    ModulusContext): the fields are the slots without a leading underscore,
+    which give the repr, equality and hash, and assignment raises."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 def _normalize(c) -> "int | Fraction":
@@ -73,8 +102,7 @@ def _mul(a: list, b: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class UniPoly:
+class UniPoly(_Frozen):
     """Univariate polynomial in m with exact coefficients.
 
     Coefficients are ascending in powers of m with no trailing zeros.  Each
@@ -89,11 +117,13 @@ class UniPoly:
     '-2*m^2 + 2*m'
     """
 
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        normalized = tuple(_trim([_normalize(c) for c in self.coeffs]))
-        object.__setattr__(self, "coeffs", normalized)
+    def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
+        coeffs = list(coeffs)
+        if not {type(c) for c in coeffs} <= {int}:  # the all-int fast path skips _normalize
+            coeffs = [_normalize(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
 
     @staticmethod
     def zero() -> "UniPoly":

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactalg import ConsistencyError, UniPoly, _sn_extend, binomial
 from .cumulants import cumulant_poly, cumulant_value
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentPoly:
+class MomentPoly(NamedTuple):
     """Exact moment of order 2n in graded form: mu_{2n} = (z/2)^(2n) R(m)."""
 
     n: int
@@ -170,8 +169,7 @@ _ALPHA: dict[int, object] = {
 }
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     """One scaled term of the integrality table for modulus 1/sqrt(p).
 
     For p in 2..7 the known prefactor alpha is applied and integrality is

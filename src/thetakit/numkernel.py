@@ -33,7 +33,9 @@ context memo bounds them and clearing it drops them.
 
 Every primitive runs with ``_GUARD`` extra digits (the one definition, which
 the other modules import) so that its relative error stays below
-10^(2 - digits); all values are immutable and safe to share.
+10^(2 - digits).  All values are immutable and safe to share: HPFloat and
+ModulusContext are __slots__ classes that refuse assignment, and the other
+records are NamedTuples, so the package never imports dataclasses.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp
+
+from .exactalg import _Frozen
 
 __all__ = [
     "DEFAULT_DIGITS",
@@ -81,8 +84,7 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-@dataclass(frozen=True, eq=False)
-class HPFloat:
+class HPFloat(_Frozen):
     """Immutable real scalar with a stated decimal working precision.
 
     Arithmetic between two HPFloat values is carried out at the larger of
@@ -91,12 +93,13 @@ class HPFloat:
     they silently corrupt decimal intent.
     """
 
-    value: object  # mpmath.mpf
-    digits: int
+    __slots__ = ("value", "digits")  # an mpmath.mpf and an int
 
-    def __post_init__(self) -> None:
-        if self.digits < 15:
+    def __init__(self, value, digits: int) -> None:
+        if digits < 15:
             raise DomainError("precision must be at least 15 decimal digits")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "digits", digits)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -471,8 +474,7 @@ def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModulusContext:
+class ModulusContext(_Frozen):
     """All numeric quantities attached to one elliptic modulus k.
 
     Fields: k, m = k^2, kprime = sqrt(1 - m), the four complete integrals
@@ -482,19 +484,13 @@ class ModulusContext:
     series layers sum once per context; it is not part of the value.
     """
 
-    k: HPFloat
-    m: HPFloat
-    kprime: HPFloat
-    K: HPFloat
-    E: HPFloat
-    Kprime: HPFloat
-    Eprime: HPFloat
-    q: HPFloat
-    c: HPFloat
-    z: HPFloat
-    sigma2: HPFloat
-    digits: int
-    _series: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("k", "m", "kprime", "K", "E", "Kprime", "Eprime", "q", "c", "z", "sigma2",
+                 "digits", "_series")
+
+    def __init__(self, k, m, kprime, K, E, Kprime, Eprime, q, c, z, sigma2, digits) -> None:
+        for name, value in zip(self.__slots__, (k, m, kprime, K, E, Kprime, Eprime, q, c, z,
+                                                sigma2, digits, {})):
+            object.__setattr__(self, name, value)
 
     def _once(self, key, compute: Callable[[], object]):
         """The value kept under key, from compute() on first use."""

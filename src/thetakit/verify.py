@@ -7,11 +7,12 @@ and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
 Both ground-truth series are the kernel's one series loop, with a weight,
-over the context's one Gaussian factor table, divided by theta3; the table,
-theta3, the moments and the moment polynomials R_2j(m) are kept with the
-context.  The weights are ints: p^(2n) exactly, and H_2n(p/(sigma sqrt 2))
-as a Horner sum in p^2 of its fixed-point coefficients, whose guard bits
-come from a bound on |H_2n| over the summed range.
+over the context's one Gaussian factor table, divided by theta3, which is
+the same loop with weight 1; the table, theta3, the moments and the moment
+polynomials R_2j(m) are kept with the context.  The weights are ints:
+p^(2n) exactly, and H_2n(p/(sigma sqrt 2)) as a Horner sum in p^2 of its
+fixed-point coefficients, whose guard bits come from a bound on |H_2n| over
+the summed range.
 Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
@@ -27,9 +28,8 @@ budgets series truncation plus accumulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from mpmath import mp
 
@@ -81,8 +81,7 @@ def suite_tolerance(digits: int) -> HPFloat:
     return pow10(8 - digits, digits)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """One verified identity instance.
 
     lhs/rhs/residual/tolerance are None only when error is set (for
@@ -141,8 +140,10 @@ def _report(identity: str, n: int | None, k_token: str, digits: int,
 
 
 def _theta3(ctx: ModulusContext) -> HPFloat:
-    """theta3(q) by its series, summed once per context and kept with it."""
-    return ctx._once("theta3", lambda: theta0(3, ctx.q))
+    """theta3(q) = 1 + sum_p 2 q^(p^2), weight 1 and lead 1 over the
+    context's Gaussian table, summed once per context and kept with it."""
+    return ctx._once("theta3", lambda: HPFloat(
+        _series_sum(_gaussian(ctx), lambda p: (1, 0), lead=1), ctx.digits))
 
 
 def _gaussian(ctx: ModulusContext) -> _Factors:

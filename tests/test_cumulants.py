@@ -65,6 +65,12 @@ class TestCumulantPoly:
         with pytest.raises(DomainError):
             cumulant_poly(1)
 
+    def test_record_is_read_only(self):
+        c = cumulant_poly(2)
+        with pytest.raises(AttributeError):
+            c.sign = 1
+        assert c._replace(sign=1).sign == 1 and c.sign == -1
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_evaluate_matches_series_route(self, n):
         ctx = make_context("0.6", 40)

@@ -3,6 +3,7 @@ checked against the trivariate operator recurrence, and validated
 binomials."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,15 @@ class TestUniPolyBasics:
 
     def test_trailing_zeros_trimmed(self):
         assert UniPoly((Fraction(1), Fraction(0), Fraction(0))) == UniPoly.one()
+        assert UniPoly([1, 0, 0]).coeffs == (1,)
+        assert UniPoly([0, 0]).coeffs == ()
+
+    def test_coefficients_are_read_only(self):
+        p = UniPoly((1, 2))
+        with pytest.raises(AttributeError):
+            p.coeffs = (3,)
+        assert p.coeffs == (1, 2) and hash(p) == hash(UniPoly((Fraction(1), 2)))
+        assert pickle.loads(pickle.dumps(p)) == p
 
     def test_coefficient_out_of_range(self):
         p = UniPoly.from_ints([3, 5])

@@ -5,6 +5,7 @@ digits) and frozen before the kernel was written; the kernel itself never
 calls mpmath's special functions, only bare mpf arithmetic.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,17 @@ class TestHPFloatScalar:
     def test_rejects_low_precision(self):
         with pytest.raises(DomainError):
             hpf(1, digits=10)
+        with pytest.raises(DomainError):
+            HPFloat(mp.mpf(1), 14)
+
+    def test_fields_are_read_only(self):
+        x = hpf("0.5", 30)
+        with pytest.raises(AttributeError):
+            x.digits = 40
+        with pytest.raises(AttributeError):
+            del x.value
+        assert x.digits == 30 and x == hpf("0.5", 30)
+        assert copy.copy(x).value == x.value and copy.copy(x).digits == 30
 
     def test_exact_constructions_agree(self):
         a = hpf("0.125", 30)
@@ -369,6 +381,14 @@ class TestModulusContext:
 
     def test_default_digits(self):
         assert make_context("0.6").digits == DEFAULT_DIGITS
+
+    def test_fields_are_read_only(self):
+        ctx = make_context("0.6", 30)
+        with pytest.raises(AttributeError):
+            ctx.K = ctx.E
+        with pytest.raises(AttributeError):
+            ctx._series = {}
+        assert ctx._once("probe", lambda: 1) == 1 and ctx._once("probe", lambda: 2) == 1
 
     def test_upward_relabel_of_modulus_raises(self):
         with pytest.raises(DomainError):

@@ -65,6 +65,20 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    def test_cli_start_leaves_dataclasses_and_inspect_unloaded(self):
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import thetakit.cli\n"
+            "thetakit.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_declared_dependencies_are_the_imported_ones(self):
         tomllib = pytest.importorskip("tomllib")
         imported = set()
