@@ -23,8 +23,6 @@ import json
 import sys
 from pathlib import Path
 
-from mpmath import mp
-
 from .combinatorics import reconcile_thm11
 from .cumulants import p_poly
 from .exactalg import ConsistencyError, schett_reduced
@@ -44,6 +42,8 @@ def _short(x) -> str:
     """Compact scientific rendering of an HPFloat for text reports."""
     if x is None:
         return "-"
+    from mpmath import mp
+
     return mp.nstr(x.value, 4)
 
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
     _GUARD,
@@ -171,6 +169,8 @@ def cumulant_eisenstein(n: int, ctx: ModulusContext, lattice_cutoff: int) -> Eis
         raise DomainError("lattice-sum cumulants require n >= 2")
     if lattice_cutoff < 1:
         raise DomainError("lattice cutoff must be >= 1")
+    from mpmath import mp
+
     digits = ctx.digits
     odd = range(1, 2 * lattice_cutoff, 2)
     column = [1j * float(ctx.c) * b for b in odd]

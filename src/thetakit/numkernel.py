@@ -36,6 +36,13 @@ the other modules import) so that its relative error stays below
 10^(2 - digits).  All values are immutable and safe to share: HPFloat and
 ModulusContext are __slots__ classes that refuse assignment, and the other
 records are NamedTuples, so the package never imports dataclasses.
+
+mpmath is imported when the first number is made, not with the module,
+because its import is most of the start-up of an exact command, which makes
+no number.  ``_mpmath`` binds ``mp``, ``dps_to_prec`` and ``from_man_exp``
+in the three places where a number can start: ``hpf``, ``pi`` and
+``HPFloat.__init__`` (for a value built from an mpf outside this module).
+Every other use of mpmath here takes an HPFloat, so it runs after them.
 """
 
 from __future__ import annotations
@@ -45,9 +52,6 @@ import math
 import operator
 from fractions import Fraction
 from typing import Callable, Union
-
-from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp
 
 from .exactalg import _Frozen
 
@@ -79,6 +83,16 @@ _TABLE_GUARD = 8  # bits of a factor table beyond the working precision
 
 Scalar = Union["HPFloat", int, Fraction, str]
 
+mp = dps_to_prec = from_man_exp = None  # bound by _mpmath when the first number is made
+
+
+def _mpmath() -> None:
+    """Import mpmath and bind mp, dps_to_prec and from_man_exp, once."""
+    global mp, dps_to_prec, from_man_exp
+    if mp is None:
+        from mpmath import mp
+        from mpmath.libmp import dps_to_prec, from_man_exp
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
@@ -98,6 +112,7 @@ class HPFloat(_Frozen):
     def __init__(self, value, digits: int) -> None:
         if digits < 15:
             raise DomainError("precision must be at least 15 decimal digits")
+        _mpmath()  # a value built from an mpf outside this module
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "digits", digits)
 
@@ -210,6 +225,7 @@ def hpf(x: Scalar, digits: int = DEFAULT_DIGITS) -> HPFloat:
         raise TypeError("binary floats are ambiguous; pass a str, int or Fraction")
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"cannot build HPFloat from {type(x).__name__}")
+    _mpmath()
     if isinstance(x, Fraction):
         return _at(digits, lambda a, b: mp.mpf(a) / mp.mpf(b), x.numerator, x.denominator)
     return _at(digits, mp.mpf, x)
@@ -228,6 +244,7 @@ def _at(digits: int, op, *args) -> HPFloat:
 
 
 def pi(digits: int = DEFAULT_DIGITS) -> HPFloat:
+    _mpmath()
     with mp.workdps(digits + _GUARD):
         return HPFloat(+mp.pi, digits)
 
@@ -419,9 +436,9 @@ def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
     return _Factors(q, (lambda n: n * n - n) if half else (lambda n: n * n - 1), fill)
 
 
-# theta index -> (half lattice, alternating sign, trigonometric factor)
+# theta index -> (half lattice, alternating sign, name of the trigonometric factor on mp)
 _THETA_SERIES = {
-    1: (True, -1, mp.sin), 2: (True, 1, mp.cos), 3: (False, 1, mp.cos), 4: (False, -1, mp.cos),
+    1: (True, -1, "sin"), 2: (True, 1, "cos"), 3: (False, 1, "cos"), 4: (False, -1, "cos"),
 }
 
 
@@ -435,8 +452,8 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     _require_nome(q)
     if i not in _THETA_SERIES:
         raise DomainError("theta index must be 1, 2, 3 or 4")
-    half, sign, trig = _THETA_SERIES[i]
-    digits = q.digits
+    half, sign, name = _THETA_SERIES[i]
+    trig, digits = getattr(mp, name), q.digits
     z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
     with mp.workdps(digits + _GUARD):
         zv = +z_h.value

@@ -31,8 +31,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from mpmath import mp
-
 from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
@@ -156,6 +154,8 @@ def _weighted_series(weight: Callable[[int], tuple[int, int]], ctx: ModulusConte
     """sum_p w(p) q^(p^2) / theta3(q) for an even weight, as
     ``_series_sum`` takes it over the context's factors 2 q^(p^2), p >= 1,
     with the exact int lead w(0), divided by the context's one theta3."""
+    from mpmath import mp
+
     total = _series_sum(_gaussian(ctx), weight, weight_bits, lead)
     theta3 = _theta3(ctx).value
     # a quotient of two series keeps their precision, not the working one
@@ -221,6 +221,8 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     factor stays below one unit of the scale.  At p = 0 the weight is the
     exact int lead c_0.  Near k = 0, u is large (sigma^2 is about 2q) and
     H_{2n} reaches about q^(-n), which the bound follows."""
+    from mpmath import mp
+
     order = 2 * n
     with mp.workdps(ctx.digits + _GUARD):
         u = 1 / mp.sqrt(2 * ctx.sigma2.value)
@@ -302,15 +304,15 @@ def verify_romik11(n: int, digits: int = DEFAULT_DIGITS) -> VerificationReport:
 
     The pi exponent is forced: Omega = 4 Phi with Phi = 4 pi^2 kappa_4 =
     Gamma(1/4)^8/(2^7 pi^4), and only this value makes the n >= 2 cells
-    close (a pi^8 variant misses by ~0.06 already at n = 2).
+    close (a pi^8 variant misses by ~0.06 already at n = 2).  Omega depends
+    on the digits alone, so it is kept with the lemniscatic context.
     """
     if n < 0:
         raise DomainError("index must be >= 0")
     ctx = lemniscatic_context(digits)
     lhs = series_moment(n, ctx)
-    g = gamma_quarter(digits)
     pi_h = pi(digits)
-    omega = g ** 8 / (pi_h ** 4 * 32)
+    omega = ctx._once("omega", lambda: gamma_quarter(digits) ** 8 / (pi_h ** 4 * 32))
     d = [1] + (d_sequence(n // 2) if n >= 2 else [])
     rhs = hpf(0, digits)
     for j in range(n // 2 + 1):

@@ -6,8 +6,11 @@ calls mpmath's special functions, only bare mpf arithmetic.
 """
 
 import copy
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -416,3 +419,31 @@ class TestModulusContext:
     def test_m_is_k_squared(self, k):
         ctx = make_context(k, 40)
         assert ctx.m.value._mpf_ == (ctx.k * ctx.k).value._mpf_
+
+
+class TestFirstUse:
+    """mpmath is bound when the first number is made, so each entry point
+    must work as the first thing a fresh process runs, with no hpf before it."""
+
+    @pytest.mark.parametrize("expr", [
+        'hpf("0.5", 20).sqrt()',
+        "pi(20)",
+        "HPFloat(mpmath.mpf(2), 20).sqrt()",
+        "HPFloat(mpmath.mpf(2), 20)",  # str, which renders through mp.nstr
+        'theta(1, "0.4", hpf("0.1", 20))',
+        'make_context("0.3", 20).q',
+        "gamma_quarter(20)",
+    ])
+    def test_entry_point_in_a_fresh_process(self, expr):
+        names = ("HPFloat", "gamma_quarter", "hpf", "make_context", "pi", "theta")
+        code = (
+            ("import mpmath\n" if "mpmath" in expr else "")
+            + f"from thetakit.numkernel import {', '.join(names)}\n"
+            + f"print({expr})\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        namespace = {name: globals()[name] for name in names} | {"mpmath": mpmath}
+        assert proc.stdout == f"{eval(expr, namespace)}\n"

@@ -71,13 +71,38 @@ class TestDependencies:
             "before = set(sys.modules)\n"
             "import thetakit.cli\n"
             "thetakit.cli.build_parser()\n"
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'mpmath'} & (set(sys.modules) - before)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_exact_commands_leave_mpmath_unloaded(self):
+        # perfbench's tracer looks up every thetakit.<layer> in sys.modules
+        # right after `import thetakit.cli`, so all seven layers must be
+        # imported at start; mpmath is loaded only when a number is made
+        layers = [module.__name__ for module in LAYERS] + ["thetakit.cli"]
+        code = (
+            "import contextlib, io, sys\n"
+            "import thetakit.cli\n"
+            f"print(all(name in sys.modules for name in {layers!r}))\n"
+            "runs = [['sequences', 'd', '--count', '5'], ['sequences', 'q', '--count', '5'],\n"
+            "        ['sequences', 'dk', '--p', '5', '--scaled', '--count', '5'],\n"
+            "        ['conjecture', '--p', '3'], ['polys'], ['reconcile', '--nmax', '2']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [thetakit.cli.main(args) for args in runs]\n"
+            "print(codes, 'mpmath' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = thetakit.cli.main(['verify', 'symmetry', '--k', '0.3'])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n[0, 0, 0, 0, 0, 0] False\n0 True\n"
 
     def test_declared_dependencies_are_the_imported_ones(self):
         tomllib = pytest.importorskip("tomllib")

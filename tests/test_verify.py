@@ -18,6 +18,8 @@ from thetakit.numkernel import (
     pow10,
 )
 from thetakit.verify import (
+    DEFAULT_KS,
+    cells_for,
     default_grid,
     hermite_weighted_series,
     run_suite,
@@ -287,6 +289,17 @@ class TestSuiteRunner:
         # moment and Hermite sum share (the duals sum no series), and a
         # throwaway one for each side of the four jacobi_transform cells
         assert len(builds) == 3 + 2 * 4
+
+    def test_romik_omega_once_per_precision(self, monkeypatch):
+        # Omega = Gamma(1/4)^8 / (32 pi^4) depends on the digits alone, so the
+        # nine orders share one Gamma(1/4), kept with the lemniscatic context
+        calls = []
+        quarter = verify.gamma_quarter
+        monkeypatch.setattr(verify, "gamma_quarter", lambda d: calls.append(d) or quarter(d))
+        numkernel._build_context.cache_clear()
+        reports = run_suite(cells_for(("romik_eq11",), 8, DEFAULT_KS), digits=30)
+        assert len(reports) == 9 and all(r.passed for r in reports)
+        assert calls == [30]
 
     def test_context_cache_reuses_token(self):
         # two cells with the same token must agree bit for bit
