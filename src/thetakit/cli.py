@@ -40,11 +40,7 @@ def _fail_usage(message: str) -> int:
 
 def _short(x) -> str:
     """Compact scientific rendering of an HPFloat for text reports."""
-    if x is None:
-        return "-"
-    from mpmath import mp
-
-    return mp.nstr(x.value, 4)
+    return "-" if x is None else x.to_decimal_string(4)
 
 
 class _UnwritableOut(Exception):
@@ -78,7 +74,7 @@ def _validate_modulus_token(token: str, digits: int) -> str | None:
         k = parse_modulus(token, digits)
     except (ValueError, DomainError):
         return f"modulus {token!r} is not a decimal number or '1/sqrt2'"
-    if not (0 < k.value < 1):
+    if not 0 < k < 1:
         return f"modulus {token} is outside the open interval (0, 1)"
     return None
 

@@ -19,11 +19,12 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .exactalg import UniPoly, _sn_square
 from .numkernel import (
-    _GUARD,
     _Factors,
     _series_sum,
     _times,
@@ -32,6 +33,7 @@ from .numkernel import (
     ModulusContext,
     dual_context,
     hpf,
+    pi,
 )
 
 __all__ = [
@@ -133,7 +135,7 @@ def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
     factors = ctx._once("lambert", lambda: _lambert_factors(ctx.q))
     total = _series_sum(factors, lambda r: (r ** power if r % 2 else -r ** power, 0),
                         lambda r: (r ** power).bit_length())
-    return HPFloat(total, ctx.digits)
+    return HPFloat(*total, ctx.digits)
 
 
 def cumulant_value(order: int, ctx: ModulusContext) -> HPFloat:
@@ -169,22 +171,18 @@ def cumulant_eisenstein(n: int, ctx: ModulusContext, lattice_cutoff: int) -> Eis
         raise DomainError("lattice-sum cumulants require n >= 2")
     if lattice_cutoff < 1:
         raise DomainError("lattice cutoff must be >= 1")
-    from mpmath import mp
-
-    digits = ctx.digits
+    digits, c = ctx.digits, ctx.c
     odd = range(1, 2 * lattice_cutoff, 2)
-    column = [1j * float(ctx.c) * b for b in odd]
+    column = [1j * float(c) * b for b in odd]
     total = sum(sum([(a + w) ** (-2 * n) for w in column]).real for a in odd)
-    with mp.workdps(digits + _GUARD):
-        sign = 1 if (n + 1) % 2 == 0 else -1
-        prefactor = sign * 4 * mp.factorial(2 * n - 1) / mp.pi ** (2 * n)
-        value = HPFloat(prefactor * mp.mpf(total), digits)
-        # crude tail: odd-pair density 1/4, radial integral outside R
-        c_mp = +ctx.c.value
-        radius = (2 * lattice_cutoff - 1) * min(mp.mpf(1), c_mp)
-        points = (mp.pi / (8 * c_mp)) * radius ** (2 - 2 * n) / (n - 1)
-        tail = HPFloat(abs(prefactor) * points, digits)
-    return EisensteinValue(value=value, tail=tail)
+    sign = 1 if (n + 1) % 2 == 0 else -1
+    pi_h = pi(digits)
+    prefactor = sign * 4 * math.factorial(2 * n - 1) / pi_h ** (2 * n)
+    value = prefactor * hpf(Fraction(total), digits)
+    # crude tail: odd-pair density 1/4, radial integral outside R
+    radius = (2 * lattice_cutoff - 1) * min(hpf(1, digits), c)
+    points = (pi_h / (8 * c)) * radius ** (2 - 2 * n) / (n - 1)
+    return EisensteinValue(value=value, tail=abs(prefactor) * points)
 
 
 def symmetry_check_P(n: int) -> bool:

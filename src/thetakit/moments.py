@@ -431,7 +431,7 @@ def _is_zero(v) -> bool:
     if isinstance(v, UniPoly):
         return not v
     if isinstance(v, HPFloat):
-        return v.value == 0
+        return v.mantissa == 0
     return v == 0
 
 

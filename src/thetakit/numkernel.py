@@ -1,9 +1,26 @@
 """Arbitrary-precision numeric kernel.
 
-Provides the HPFloat scalar (an immutable wrapper around an mpmath value
+Provides the HPFloat scalar (an immutable binary float on Python ints,
 carrying its decimal working precision), the AGM and the complete elliptic
 integrals built on it, the nome, theta series, and the per-modulus
 ModulusContext bundle.
+
+The number format.  An HPFloat is mantissa 2^exponent for ints mantissa and
+exponent, with an odd mantissa or (0, 0), so equal values have equal fields
+and the context memo keys on them.  A digits-digit value works at
+prec = round((digits + _GUARD + 1) log2 10) bits (``_bits``), and every
+operation rounds its result half to even to the prec of the larger of its
+operands' precisions.  +, -, *, /, sqrt (one ``math.isqrt``), negation,
+abs, squares and positive powers below 1000 bits, and conversion from an
+int, a Fraction's rounded numerator and denominator, or a decimal string
+whose exponent is within +-400 are correctly rounded (an addend of more than
+prec + 4 bits can break a tie the wrong way).  Other powers truncate their
+products to prec + 4 bits(n) + 4 bits, and negative ones invert a power at
+prec + 5 bits: within an ulp.  pi, exp, log, sin and cos work in
+fixed-point ints with at least 64 guard bits and round once, so they are
+correctly rounded unless the true value lies within about 2^(-60) ulp of a
+tie.  ``to_decimal_string`` rounds half up on the first digits + 3 decimal
+digits, truncated.  There is no other arithmetic path.
 
 One AGM loop, ``_agm_pass``, gives each modulus K and E from one pass: K and
 ``agm`` take its mean at 10^(1-digits), a looser rule than E's 10^(-digits-5)
@@ -17,10 +34,9 @@ by running int products.  A context keeps its tables; a bare-nome theta
 call builds a throwaway one.  The one error analysis: a factor stepped n
 times is off by about n^2 2^(1-P) relative at most; the truncations of the
 terms, the weights' own errors and the tail each stay below about
-2^(-prec) times the first factor (``_series_sum``).  Each call converts to
-mpf once, exactly, and keeps the scale's precision: the first HPFloat
-operation on the result rounds it, so the conversion adds no rounding of
-its own.  ``_log2`` reads the size of an mpf without an mpf operation.
+2^(-prec) times the first factor (``_series_sum``).  Each call returns its
+sum exactly and keeps the scale's precision: the first HPFloat operation on
+the result rounds it, so the sum adds no rounding of its own.
 
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
@@ -35,21 +51,16 @@ Every primitive runs with ``_GUARD`` extra digits (the one definition, which
 the other modules import) so that its relative error stays below
 10^(2 - digits).  All values are immutable and safe to share: HPFloat and
 ModulusContext are __slots__ classes that refuse assignment, and the other
-records are NamedTuples, so the package never imports dataclasses.
-
-mpmath is imported when the first number is made, not with the module,
-because its import is most of the start-up of an exact command, which makes
-no number.  ``_mpmath`` binds ``mp``, ``dps_to_prec`` and ``from_man_exp``
-in the three places where a number can start: ``hpf``, ``pi`` and
-``HPFloat.__init__`` (for a value built from an mpf outside this module).
-Every other use of mpmath here takes an HPFloat, so it runs after them.
+records are NamedTuples, so the package never imports dataclasses.  pi and
+ln 2 are computed on first use and cached per precision, so importing the
+module computes nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
+import sys
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -83,15 +94,360 @@ _TABLE_GUARD = 8  # bits of a factor table beyond the working precision
 
 Scalar = Union["HPFloat", int, Fraction, str]
 
-mp = dps_to_prec = from_man_exp = None  # bound by _mpmath when the first number is made
+
+# ---------------------------------------------------------------------------
+# The number format: a value is man 2^exp for ints man and exp, with man odd
+# or (man, exp) = (0, 0).  The functions below take and return such pairs;
+# prec is a precision in bits, and each result is rounded to it half to even.
+# ---------------------------------------------------------------------------
 
 
-def _mpmath() -> None:
-    """Import mpmath and bind mp, dps_to_prec and from_man_exp, once."""
-    global mp, dps_to_prec, from_man_exp
-    if mp is None:
-        from mpmath import mp
-        from mpmath.libmp import dps_to_prec, from_man_exp
+def _bits(digits: int) -> int:
+    """The working precision of a digits-digit value in bits: that of
+    digits + _GUARD decimal digits, round((digits + _GUARD + 1) log2 10)."""
+    return max(1, round((digits + _GUARD + 1) * 3.3219280948873626))
+
+
+def _exact(man: int, exp: int) -> tuple[int, int]:
+    """man 2^exp in canonical form, unrounded."""
+    if not man:
+        return 0, 0
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man 2^exp rounded half to even to prec bits."""
+    size = abs(man)
+    drop = size.bit_length() - prec
+    if drop > 0:
+        kept = size >> (drop - 1)  # the kept bits and the half bit
+        if kept & 1 and (kept & 2 or size & ((1 << (drop - 1)) - 1)):
+            kept += 2
+        man, exp = (-(kept >> 1) if man < 0 else kept >> 1), exp + drop
+    return _exact(man, exp)
+
+
+def _add(a, b, prec: int):
+    """a + b.  When b lies more than prec + 4 bits below a's lead, a unit
+    prec + 4 bits below a's last bit stands in for it, which rounds as the
+    exact sum does while a has at most prec + 4 bits."""
+    (am, ae), (bm, be) = a, b
+    if not am or not bm:
+        return _round(am + bm, be if bm else ae, prec)
+    if ae < be:
+        (am, ae), (bm, be) = (bm, be), (am, ae)
+    offset = ae - be
+    if offset > 100 and abs(am).bit_length() + offset - abs(bm).bit_length() > prec + 4:
+        return _round((am << (prec + 4)) + (1 if bm > 0 else -1), ae - prec - 4, prec)
+    return _round((am << offset) + bm, be, prec)
+
+
+def _sub(a, b, prec: int):
+    return _add(a, (-b[0], b[1]), prec)
+
+
+def _mul(a, b, prec: int):
+    return _round(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _div(a, b, prec: int):
+    """a / b from one int quotient of at least prec + 5 bits, with a sticky
+    low bit when it leaves a remainder."""
+    (am, ae), (bm, be) = a, b
+    if not bm:
+        raise ZeroDivisionError("division by zero")
+    size, divisor = abs(am), abs(bm)
+    extra = max(5, prec - size.bit_length() + divisor.bit_length() + 5)
+    quot, rem = divmod(size << extra, divisor)
+    if rem:
+        quot, extra = (quot << 1) | 1, extra + 1
+    return _round(-quot if (am < 0) != (bm < 0) else quot, ae - be - extra, prec)
+
+
+def _sqrt(a, prec: int):
+    """sqrt(a) for a >= 0 from one math.isqrt, with a sticky low bit when
+    the root is inexact."""
+    man, exp = a
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(4, 2 * prec - man.bit_length() + 4)
+    shift += shift & 1
+    square = man << shift
+    root = math.isqrt(square)
+    if root * root != square:
+        root, shift = (root << 1) | 1, shift + 2
+    return _round(root, (exp - shift) // 2, prec)
+
+
+def _pow(a, n: int, prec: int):
+    """a^n for an int n: exact and then rounded for n = 2 or a power below
+    1000 bits, else binary powering that truncates every product to
+    prec + 4 bits(n) + 4 bits.  For n < -1 it inverts the power at prec + 5."""
+    man, exp = a
+    if n in (0, 1, 2):
+        return (1, 0) if n == 0 else _round(man ** n, exp * n, prec)
+    if n < 0:
+        return _div((1, 0), a if n == -1 else _pow(a, -n, prec + 5), prec)
+    negative, man = man < 0 and n & 1, abs(man)
+    if man.bit_length() * n < 1000:
+        power, power_exp = man ** n, exp * n
+    else:
+        work, power, power_exp = prec + 4 * n.bit_length() + 4, 1, 0
+        while True:
+            if n & 1:
+                power, power_exp = power * man, power_exp + exp
+                drop = max(0, power.bit_length() - work)
+                power, power_exp = power >> drop, power_exp + drop
+                n -= 1
+                if not n:
+                    break
+            man, exp = man * man, 2 * exp
+            drop = max(0, man.bit_length() - work)
+            man, exp = man >> drop, exp + drop
+            n //= 2
+    return _round(-power if negative else power, power_exp, prec)
+
+
+def _cmp(a, b) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b, exactly."""
+    (am, ae), (bm, be) = a, b
+    sa, sb = (am > 0) - (am < 0), (bm > 0) - (bm < 0)
+    if sa != sb or not sa:
+        return (sa > sb) - (sa < sb)
+    ta, tb = abs(am).bit_length() + ae, abs(bm).bit_length() + be
+    if ta != tb:
+        return sa if ta > tb else -sa
+    diff = (am << (ae - be)) - bm if ae >= be else am - (bm << (be - ae))
+    return (diff > 0) - (diff < 0)
+
+
+# -- transcendental functions: fixed-point ints at 64 or more guard bits, off
+# by a few units of the last, then one rounding, so a result is correctly
+# rounded unless the true value lies within about 2^(-60) ulp of a tie.
+
+
+def _fixed(a, wp: int) -> int:
+    """floor(a 2^wp)."""
+    man, exp = a
+    shift = exp + wp
+    return man << shift if shift >= 0 else man >> -shift
+
+
+def _acot(x: int, wp: int, hyperbolic: bool) -> int:
+    """acot(x) 2^wp, or acoth(x) 2^wp, for an int x >= 2, within about wp
+    units: the series sum_k (+-1)^k / ((2k + 1) x^(2k + 1))."""
+    term = total = (1 << wp) // x
+    square, odd, flip = x * x, 3, 1 if hyperbolic else -1
+    sign = flip
+    while term:
+        term //= square
+        total += sign * term // odd
+        odd, sign = odd + 2, sign * flip
+    return total
+
+
+@functools.lru_cache(maxsize=16)
+def _constants_at(wp: int) -> tuple[int, int]:
+    """pi 2^wp and ln2 2^wp within a unit: Machin's formula and
+    18 acoth 26 - 2 acoth 4801 + 8 acoth 8749, at 32 guard bits."""
+    work = wp + 32
+    pi_ = 4 * (4 * _acot(5, work, False) - _acot(239, work, False))
+    ln2 = 18 * _acot(26, work, True) - 2 * _acot(4801, work, True) + 8 * _acot(8749, work, True)
+    return pi_ >> 32, ln2 >> 32
+
+
+def _constants(wp: int) -> tuple[int, int]:
+    """pi 2^wp and ln2 2^wp within two units, shifted down from a cached
+    precision that is a multiple of 256."""
+    top = -(-wp // 256) * 256
+    pi_, ln2 = _constants_at(top)
+    return pi_ >> (top - wp), ln2 >> (top - wp)
+
+
+@functools.lru_cache(maxsize=64)
+def _pi(prec: int):
+    return _round(_constants(prec + 64)[0], -prec - 64, prec)
+
+
+def _exp(a, prec: int):
+    """e^a: a = n ln2 + r with 0 <= r < ln2, the Taylor series of r/2^s
+    squared s times, and the factor 2^n in the exponent."""
+    man, exp = a
+    mag = abs(man).bit_length() + exp  # |a| < 2^mag
+    if not man or mag < -prec - 4:  # e^a rounds to 1
+        return 1, 0
+    steps = int(math.sqrt(prec / 2))
+    wp = prec + 64 + max(0, mag) + steps
+    n, r = divmod(_fixed(a, wp), _constants(wp)[1])
+    r >>= steps
+    total = term = 1 << wp
+    k = 1
+    while term:
+        term = (term * r >> wp) // k
+        total, k = total + term, k + 1
+    for _ in range(steps):
+        total = total * total >> wp
+    return _round(total, n - wp, prec)
+
+
+def _log(a, prec: int):
+    """log a for a > 0: a = m 2^e with 1/sqrt2 <= m < sqrt2, and log m =
+    2 atanh((m - 1)/(m + 1)); near a = 1 the bits that cancel are added."""
+    man, exp = a
+    e = man.bit_length() + exp
+    if 2 * man * man < 1 << (2 * man.bit_length()):  # m = man/2^bits < 1/sqrt2
+        e -= 1
+    if e == 0:
+        if (man, exp) == (1, 0):
+            return 0, 0
+        near = man - (1 << -exp)  # a - 1 = near 2^exp, and 0 < a < 2 gives exp < 0
+        wp = prec + 64 + max(0, -(abs(near).bit_length() + exp))
+    else:
+        wp = prec + 64 + e.bit_length()
+    one = 1 << wp
+    m = _fixed((man, exp - e), wp)
+    z = (abs(m - one) << wp) // (m + one)
+    square, total, term, odd = z * z >> wp, z, z, 3
+    while term:
+        term = term * square >> wp
+        total, odd = total + term // odd, odd + 2
+    return _round((2 * total if m >= one else -2 * total) + e * _constants(wp)[1], -wp, prec)
+
+
+def _cos_sin(a, prec: int):
+    """(cos a, sin a): a = n pi/2 + r with |r| <= pi/4, at a precision that
+    keeps prec + 64 bits of r beyond the reduction's error, and the Taylor
+    series of r."""
+    man, exp = a
+    if not man:
+        return (1, 0), (0, 0)
+    mag = max(0, abs(man).bit_length() + exp)
+    wp = prec + 64 + mag
+    while True:
+        quarter = _constants(wp)[0] >> 1
+        n, r = divmod(_fixed(a, wp) + (quarter >> 1), quarter)
+        r -= quarter >> 1
+        lost = prec + 64 + mag - abs(r).bit_length()
+        if lost <= 0:
+            break
+        wp += lost + 8
+    size = abs(r)
+    cos_r, sin_r, term, k = 1 << wp, size, size, 1
+    while term:
+        k += 1
+        term = (term * size >> wp) // k
+        if k & 1:
+            sin_r += term if k & 2 == 0 else -term
+        else:
+            cos_r += term if k & 2 == 0 else -term
+    if r < 0:
+        sin_r = -sin_r
+    cos_a, sin_a = ((cos_r, sin_r), (-sin_r, cos_r), (-cos_r, -sin_r), (sin_r, -cos_r))[n % 4]
+    return _round(cos_a, -wp, prec), _round(sin_a, -wp, prec)
+
+
+# -- decimal strings
+
+
+def _from_str(text: str, prec: int):
+    """A decimal literal as float() takes it (but not inf or nan), or p/q
+    for ints p and q, correctly rounded, except that a decimal exponent
+    beyond +-400 scales by a power of ten rounded at prec + 10 bits, which
+    is within an ulp."""
+    x = text.lower().strip()
+    if "/" in x:
+        num, den = (int(part.rstrip("l")) for part in x.split("/"))
+        if not den:
+            raise ValueError(f"{text!r} has a zero denominator")
+        return _div((num, 0), (den, 0), prec)
+    x = x.rstrip("l")  # the long suffix of Python 2 literals is ignored
+    if x in ("inf", "+inf", "-inf", "nan"):
+        raise ValueError(f"{text!r} is not a finite number")
+    float(x)  # the literal must be a valid float
+    digits, _, power = x.partition("e")
+    exp10 = int(power or 0)
+    whole, point, fraction = digits.partition(".")
+    if point:
+        fraction = fraction.rstrip("0")
+        digits, exp10 = whole + fraction, exp10 - len(fraction)
+    man = int(digits)
+    if abs(exp10) > 400:
+        scale = _pow((5, 1), abs(exp10), prec + 10)
+        return (_mul if exp10 > 0 else _div)((man, 0), scale, prec)
+    if exp10 >= 0:
+        return _round(man * 10 ** exp10, 0, prec)
+    return _div((man, 0), (10 ** -exp10, 0), prec)
+
+
+def _to_str(man: int, exp: int, dps: int) -> str:
+    """The value to dps significant digits: the first dps + 3 digits,
+    truncated, decide the rounding, which is half up; trailing zeros go;
+    the point is fixed for leading-digit positions strictly between
+    min(-(dps // 3), -5) and dps, else an exponent e+N or e-N follows."""
+    if not man:
+        return "0.0"
+    sign, man = ("-" if man < 0 else ""), abs(man)
+    digits, exponent = _leading_digits(man, exp, dps + 3)
+    if len(digits) > dps and digits[dps] in "56789":
+        kept = digits[:dps].rstrip("9")
+        if kept:
+            digits = kept[:-1] + str(int(kept[-1]) + 1) + "0" * (dps - len(kept))
+        else:  # 99..9 carries into a new leading digit
+            digits, exponent = "1" + "0" * (dps - 1), exponent + 1
+    else:
+        digits = digits[:dps]
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits, split = "0" * -exponent + digits, 1
+        else:
+            split = exponent + 1
+            digits += "0" * (split - dps)
+        exponent = 0
+    else:
+        split = 1
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits.endswith("."):
+        digits += "0"
+    if exponent == 0:
+        return sign + digits
+    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+def _leading_digits(man: int, exp: int, dps: int) -> tuple[str, int]:
+    """The decimal digits of man 2^exp > 0, truncated, and the exponent of
+    the first: man 2^exp on floor(bitprec) fractional bits times 10^fixdps,
+    floored.  A value beyond 2^(+-3500) is divided by a power of ten near
+    it first, truncated to bitprec bits."""
+    bitprec = int(dps * math.log(10, 2)) + 10
+    exponent = 0
+    if abs(exp + man.bit_length()) > 3500:
+        exponent = int(exp * math.log10(2))
+        num, den = man << max(exp, 0), 1 << max(-exp, 0)
+        if exponent >= 0:
+            den *= 10 ** exponent
+        else:
+            num *= 10 ** -exponent
+        shift = bitprec + 1 - (num.bit_length() - den.bit_length())
+        man = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        drop = max(0, man.bit_length() - bitprec)
+        man, exp = man >> drop, drop - shift
+    fixprec = max(bitprec - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / math.log(10, 2) + 0.5)
+    digits = _numeral(_fixed((man, exp), fixprec) * 10 ** fixdps >> fixprec)
+    return digits, exponent + len(digits) - fixdps - 1
+
+
+def _numeral(n: int) -> str:
+    """str(n) for an int n >= 0 of any length: past 13000 bits, 1000 digits
+    at a time, since str refuses more than 4300 digits by default."""
+    if n.bit_length() <= 13000:
+        return str(n)
+    groups, chunk = [], 10 ** 1000
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        groups.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(groups))
 
 
 class DomainError(ValueError):
@@ -99,22 +455,30 @@ class DomainError(ValueError):
 
 
 class HPFloat(_Frozen):
-    """Immutable real scalar with a stated decimal working precision.
+    """Immutable real scalar mantissa 2^exponent with a stated decimal
+    working precision.
 
-    Arithmetic between two HPFloat values is carried out at the larger of
-    the two precisions (plus guard digits).  Exact inputs are accepted as
-    int, Fraction, or decimal string; binary floats are rejected because
-    they silently corrupt decimal intent.
+    The mantissa is odd or zero, so equal values have equal fields.  Arithmetic
+    between two HPFloat values is carried out at the larger of the two
+    precisions (plus guard digits) and rounds its result.  Exact inputs are
+    accepted as int, Fraction, or decimal string; binary floats are rejected
+    because they silently corrupt decimal intent.
     """
 
-    __slots__ = ("value", "digits")  # an mpmath.mpf and an int
+    __slots__ = ("mantissa", "exponent", "digits")
 
-    def __init__(self, value, digits: int) -> None:
+    def __init__(self, mantissa: int, exponent: int, digits: int) -> None:
         if digits < 15:
             raise DomainError("precision must be at least 15 decimal digits")
-        _mpmath()  # a value built from an mpf outside this module
-        object.__setattr__(self, "value", value)
+        mantissa, exponent = _exact(mantissa, exponent)
+        object.__setattr__(self, "mantissa", mantissa)
+        object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "digits", digits)
+
+    @property
+    def value(self) -> tuple[int, int]:
+        """The exact value as the pair (mantissa, exponent)."""
+        return self.mantissa, self.exponent
 
     # -- arithmetic -----------------------------------------------------
 
@@ -123,43 +487,47 @@ class HPFloat(_Frozen):
 
     def _bin(self, other: Scalar, op) -> "HPFloat":
         rhs = self._coerce(other)
-        return _at(max(self.digits, rhs.digits), op, self.value, rhs.value)
+        digits = max(self.digits, rhs.digits)
+        return HPFloat(*op(self.value, rhs.value, _bits(digits)), digits)
 
     def __add__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: a + b)
+        return self._bin(other, _add)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: a - b)
+        return self._bin(other, _sub)
 
     def __rsub__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: b - a)
+        return self._bin(other, lambda a, b, prec: _sub(b, a, prec))
 
     def __mul__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: a * b)
+        return self._bin(other, _mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: a / b)
+        return self._bin(other, _div)
 
     def __rtruediv__(self, other: Scalar) -> "HPFloat":
-        return self._bin(other, lambda a, b: b / a)
+        return self._bin(other, lambda a, b, prec: _div(b, a, prec))
 
     def __pow__(self, exponent: int) -> "HPFloat":
         if not isinstance(exponent, int):
             raise TypeError("HPFloat powers take integer exponents")
-        return _at(self.digits, pow, self.value, exponent)
+        return self._unary(lambda a, prec: _pow(a, exponent, prec))
 
     def __neg__(self) -> "HPFloat":
-        # negation rounds to the ambient mpmath precision, so wrap it too
-        return self._unary(operator.neg)
+        # rounds, as every operation does: a series value may carry more bits
+        return self._unary(lambda a, prec: _round(-a[0], a[1], prec))
 
     def __abs__(self) -> "HPFloat":
-        return self._unary(abs)
+        return self._unary(lambda a, prec: _round(abs(a[0]), a[1], prec))
 
     # -- comparisons (by value, precision is not identity) ---------------
+
+    def _compare(self, other: Scalar) -> int:
+        return _cmp(self.value, self._coerce(other).value)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (HPFloat, int, Fraction, str)):
@@ -167,45 +535,54 @@ class HPFloat(_Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        # Python's hash of the rational man 2^exp, as for an equal int or float
+        modulus = sys.hash_info.modulus
+        value = (abs(self.mantissa) % modulus) * pow(2, self.exponent, modulus) % modulus
+        value = -value if self.mantissa < 0 else value
+        return -2 if value == -1 else value
 
     def __lt__(self, other: Scalar) -> bool:
-        return self.value < self._coerce(other).value
+        return self._compare(other) < 0
 
     def __le__(self, other: Scalar) -> bool:
-        return self.value <= self._coerce(other).value
+        return self._compare(other) <= 0
 
     def __gt__(self, other: Scalar) -> bool:
-        return self.value > self._coerce(other).value
+        return self._compare(other) > 0
 
     def __ge__(self, other: Scalar) -> bool:
-        return self.value >= self._coerce(other).value
+        return self._compare(other) >= 0
 
     # -- elementary functions --------------------------------------------
 
     def _unary(self, op) -> "HPFloat":
-        return _at(self.digits, op, self.value)
+        return HPFloat(*op(self.value, _bits(self.digits)), self.digits)
 
     def sqrt(self) -> "HPFloat":
-        if self.value < 0:
+        if self.mantissa < 0:
             raise DomainError("sqrt of a negative value")
-        return self._unary(mp.sqrt)
+        return self._unary(_sqrt)
 
     def exp(self) -> "HPFloat":
-        return self._unary(mp.exp)
+        return self._unary(_exp)
 
     def log(self) -> "HPFloat":
-        if self.value <= 0:
+        if self.mantissa <= 0:
             raise DomainError("log of a non-positive value")
-        return self._unary(mp.log)
+        return self._unary(_log)
 
     # -- conversions -------------------------------------------------------
 
-    def to_decimal_string(self) -> str:
-        return mp.nstr(self.value, self.digits)
+    def to_decimal_string(self, digits: int | None = None) -> str:
+        """The value to digits significant digits (default: its own)."""
+        return _to_str(*self.value, digits or self.digits)
 
     def __float__(self) -> float:
-        return float(self.value)
+        man, exp = _round(*self.value, 53)
+        try:
+            return math.ldexp(man, exp)
+        except OverflowError:
+            return math.copysign(math.inf, man)
 
     def __str__(self) -> str:
         return self.to_decimal_string()
@@ -216,37 +593,28 @@ class HPFloat(_Frozen):
 
 def hpf(x: Scalar, digits: int = DEFAULT_DIGITS) -> HPFloat:
     """Build an HPFloat from an exact representation (never a float), or
-    relabel an HPFloat to its own or a lower precision (never a higher one)."""
+    relabel an HPFloat to its own or a lower precision (never a higher one).
+    An int or a decimal string is rounded once; a Fraction p/q is p and q
+    rounded, then their rounded quotient."""
     if isinstance(x, HPFloat):
         if x.digits < digits:
             raise DomainError(f"a {x.digits}-digit value cannot be relabelled to {digits} digits")
-        return x if x.digits == digits else HPFloat(x.value, digits)
+        return x if x.digits == digits else HPFloat(*x.value, digits)
     if isinstance(x, float):
         raise TypeError("binary floats are ambiguous; pass a str, int or Fraction")
     if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
         raise TypeError(f"cannot build HPFloat from {type(x).__name__}")
-    _mpmath()
+    prec = _bits(digits)
+    if isinstance(x, int):
+        return HPFloat(*_round(x, 0, prec), digits)
     if isinstance(x, Fraction):
-        return _at(digits, lambda a, b: mp.mpf(a) / mp.mpf(b), x.numerator, x.denominator)
-    return _at(digits, mp.mpf, x)
-
-
-def _at(digits: int, op, *args) -> HPFloat:
-    """HPFloat(op(*args), digits) with op run at digits + _GUARD working
-    digits.  It sets and restores mp.prec directly, which costs less than
-    entering ``mp.workdps``, and restores it also when op raises."""
-    saved = mp.prec
-    mp.dps = digits + _GUARD
-    try:
-        return HPFloat(op(*args), digits)
-    finally:
-        mp.prec = saved
+        num, den = _round(x.numerator, 0, prec), _round(x.denominator, 0, prec)
+        return HPFloat(*_div(num, den, prec), digits)
+    return HPFloat(*_from_str(x, prec), digits)
 
 
 def pi(digits: int = DEFAULT_DIGITS) -> HPFloat:
-    _mpmath()
-    with mp.workdps(digits + _GUARD):
-        return HPFloat(+mp.pi, digits)
+    return HPFloat(*_pi(_bits(digits)), digits)
 
 
 def pow10(exponent: int, digits: int = DEFAULT_DIGITS) -> HPFloat:
@@ -272,43 +640,52 @@ def parse_modulus(token: Scalar, digits: int) -> HPFloat:
 
 
 def _agm_pass(a, b, c, digits: int):
-    """The AGM from (a, b) at the ambient precision, carrying E's companion sum
+    """The AGM from (a, b) at prec = _bits(digits), carrying E's companion sum
     s = sum_j 2^(j-1) c_j^2, c_0 = c, c_{j+1} = (a_j - b_j)/2.  Yields a_j once
     |a_j - b_j| < 10^(1-digits)*a_j, then (a_j, s) once c_j and |a_j - b_j|/a_j
     are below 10^(-digits-5): absolute in c_j, so only for a_j <= 1."""
-    eps_k, eps_e = mp.mpf(10) ** (1 - digits), mp.mpf(10) ** (-digits - 5)
-    csum, weight, before_k = mp.mpf(0), mp.mpf(1) / 2, True
+    prec = _bits(digits)
+    eps_k, eps_e = _pow((5, 1), 1 - digits, prec), _pow((5, 1), -digits - 5, prec)
+    csum, weight, before_k = (0, 0), (1, -1), True
     while True:
-        if before_k and abs(a - b) < eps_k * a:
+        diff = _sub(a, b, prec)
+        gap = (abs(diff[0]), diff[1])
+        if before_k and _cmp(gap, _mul(eps_k, a, prec)) < 0:
             before_k = False
             yield a
-        csum += weight * c * c
-        if c < eps_e and abs(a - b) < eps_e * a:
+        csum = _add(csum, _mul(_mul(weight, c, prec), c, prec), prec)
+        if _cmp(c, eps_e) < 0 and _cmp(gap, _mul(eps_e, a, prec)) < 0:
             yield a, csum
             return
-        a, b, c, weight = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2, weight * 2
+        total = _add(a, b, prec)
+        a, b = (total[0], total[1] - 1), _sqrt(_mul(a, b, prec), prec)
+        c, weight = (diff[0], diff[1] - 1) if diff[0] else diff, (1, weight[1] + 1)
 
 
 def agm(a: Scalar, b: Scalar, digits: int) -> HPFloat:
     """Arithmetic-geometric mean, iterated until |a_n - b_n| < 10^(1-digits)*a_n."""
     a_h, b_h = hpf(a, digits), hpf(b, digits)
-    if a_h.value <= 0 or b_h.value <= 0:
+    if a_h.mantissa <= 0 or b_h.mantissa <= 0:
         raise DomainError("agm requires positive inputs")
-    with mp.workdps(digits + _GUARD):
-        return HPFloat(next(_agm_pass(+a_h.value, +b_h.value, 0, digits)), digits)
+    prec = _bits(digits)
+    return HPFloat(*next(_agm_pass(_round(*a_h.value, prec),
+                                   _round(*b_h.value, prec), (0, 0), digits)), digits)
 
 
 def _complete(k: HPFloat) -> tuple[HPFloat, HPFloat, HPFloat, HPFloat]:
     """m = k^2, k' = sqrt(1 - m), and K = pi/(2a) at agm's rule and
     E = (pi/(2a))(1 - s) at E's rule from one ``_agm_pass`` from (1, k')."""
-    if not (0 < k.value < 1):
+    if not 0 < k < 1:
         raise DomainError("elliptic modulus must satisfy 0 < k < 1")
     m = k * k
     kprime = (1 - m).sqrt()
-    with mp.workdps(k.digits + _GUARD):
-        mean_k, (mean_e, csum) = _agm_pass(mp.mpf(1), kprime.value, +k.value, k.digits)
-        big_k = HPFloat(mp.pi / (2 * mean_k), k.digits)
-        return m, kprime, big_k, HPFloat(mp.pi / (2 * mean_e) * (1 - csum), k.digits)
+    digits, prec = k.digits, _bits(k.digits)
+    mean_k, (mean_e, csum) = _agm_pass((1, 0), kprime.value,
+                                       _round(*k.value, prec), digits)
+    pi_ = _pi(prec)
+    big_k = HPFloat(*_div(pi_, (mean_k[0], mean_k[1] + 1), prec), digits)
+    big_e = _mul(_div(pi_, (mean_e[0], mean_e[1] + 1), prec), _sub((1, 0), csum, prec), prec)
+    return m, kprime, big_k, HPFloat(*big_e, digits)
 
 
 def ellipK(k: HPFloat) -> HPFloat:
@@ -328,21 +705,20 @@ def ellipE(k: HPFloat) -> HPFloat:
 
 
 def _require_nome(q: HPFloat) -> None:
-    if not (0 < q.value < 1):
+    if not 0 < q < 1:
         raise DomainError("nome must satisfy 0 < q < 1")
 
 
-def _log2(x) -> float:
-    """log2 of a positive mpf, from its mantissa and exponent."""
-    _, man, exp, _ = x._mpf_
-    return math.log2(man) + exp
+def _log2(x: tuple[int, int]) -> float:
+    """log2 of a positive (man, exp) value."""
+    return math.log2(x[0]) + x[1]
 
 
-def _pair(x, bits: int) -> tuple[int, int]:
-    """A positive mpf as a (man, exp) pair with a bits-bit mantissa, exact
-    unless the mpf has more bits, which are truncated."""
-    _, man, exp, bc = x._mpf_
-    shift = bits - bc
+def _pair(x: tuple[int, int], bits: int) -> tuple[int, int]:
+    """A positive (man, exp) value with a bits-bit mantissa, exact unless
+    it has more bits, which are truncated."""
+    man, exp = x
+    shift = bits - man.bit_length()
     return man << shift if shift >= 0 else man >> -shift, exp - shift
 
 
@@ -365,7 +741,7 @@ class _Factors:
     __slots__ = ("prec", "decay", "exponent", "values", "_more")
 
     def __init__(self, q: HPFloat, exponent: Callable[[int], int], fill) -> None:
-        self.prec = dps_to_prec(q.digits + _GUARD)
+        self.prec = _bits(q.digits)
         self.exponent, self.decay = exponent, -_log2(q.value)
         self.values: list[tuple[int, int]] = []
         bits = self.prec + _TABLE_GUARD
@@ -388,7 +764,8 @@ class _Factors:
 
 def _series_sum(factors: _Factors, weight: Callable[[int], tuple[int, int]],
                 weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0):
-    """lead + sum_{n >= 1} w(n) f_n over a factor table, as an mpf.
+    """lead + sum_{n >= 1} w(n) f_n over a factor table, as an exact
+    (man, exp) pair.
 
     weight(n) is w(n) as an int pair (v, s), w(n) ~ v 2^(-s), so an exact
     int (s = 0) is never shifted before the multiply; weight_bits(n) bounds
@@ -397,8 +774,8 @@ def _series_sum(factors: _Factors, weight: Callable[[int], tuple[int, int]],
     truncated once onto it, so all of them stay below 2^(top-prec).  It
     stops after the first factor below 2^(top-prec) over the weight bound
     at ``reach``, so a small weight cannot end it early and the tail is of
-    that order.  The lead is added exactly and the total converts to mpf
-    once, exactly: the loop makes no mpf operation."""
+    that order.  The lead is added exactly and the total is returned
+    exactly: the loop makes no rounded operation."""
     last = factors.reach(weight_bits)
     man, exp = factors[1]
     top = exp + man.bit_length()
@@ -411,7 +788,7 @@ def _series_sum(factors: _Factors, weight: Callable[[int], tuple[int, int]],
         shift, term = exp - s + scale, man * v
         total += term << shift if shift >= 0 else term >> -shift
         if exp + man.bit_length() <= stop:
-            return mp.make_mpf(from_man_exp(total, -scale))
+            return _exact(total, -scale)
         n += 1
 
 
@@ -425,8 +802,7 @@ def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
     def fill(q1, bits):
         q2 = _times(q1, q1, bits)
         if half:
-            with mp.workprec(bits):
-                gauss, step = _pair(mp.sqrt(mp.sqrt(q.value)), bits), q2
+            gauss, step = _pair(_sqrt(_sqrt(q.value, bits), bits), bits), q2
         else:
             gauss, step = q1, _times(q2, q1, bits)
         while True:
@@ -436,10 +812,8 @@ def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
     return _Factors(q, (lambda n: n * n - n) if half else (lambda n: n * n - 1), fill)
 
 
-# theta index -> (half lattice, alternating sign, name of the trigonometric factor on mp)
-_THETA_SERIES = {
-    1: (True, -1, "sin"), 2: (True, 1, "cos"), 3: (False, 1, "cos"), 4: (False, -1, "cos"),
-}
+# theta index -> (half lattice, alternating sign, trigonometric factor: 0 for cos, 1 for sin)
+_THETA_SERIES = {1: (True, -1, 1), 2: (True, 1, 0), 3: (False, 1, 0), 4: (False, -1, 0)}
 
 
 def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
@@ -448,24 +822,22 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     trig) from ``_THETA_SERIES``, by ``_series_sum`` over a throwaway table
     with the full lattice's n = 0 term as the lead 1.  At z = 0 the
     trigonometric factor is the exact int trig(0); elsewhere each term
-    evaluates it in mpf and passes its mantissa and exponent as they are."""
+    evaluates it, rounded, and passes its mantissa and exponent as they are."""
     _require_nome(q)
     if i not in _THETA_SERIES:
         raise DomainError("theta index must be 1, 2, 3 or 4")
-    half, sign, name = _THETA_SERIES[i]
-    trig, digits = getattr(mp, name), q.digits
+    half, sign, trig = _THETA_SERIES[i]
+    digits, prec = q.digits, _bits(q.digits)
     z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
-    with mp.workdps(digits + _GUARD):
-        zv = +z_h.value
-        at_zero = int(trig(0))  # 1 for cos, 0 for sin
+    zman, zexp = _round(*z_h.value, prec)
 
-        def weight(n):
-            if not zv:
-                return sign ** (n - half) * at_zero, 0
-            negative, man, exp, _ = trig((2 * n - half) * zv)._mpf_
-            return sign ** (n - half) * (-man if negative else man), -exp
+    def weight(n):
+        if not zman:
+            return sign ** (n - half) * (1 - trig), 0  # cos 0 = 1, sin 0 = 0
+        man, exp = _cos_sin(_round((2 * n - half) * zman, zexp, prec), prec)[trig]
+        return sign ** (n - half) * man, -exp
 
-        return HPFloat(_series_sum(_gaussian_factors(q, half), weight, lead=1 - half), digits)
+    return HPFloat(*_series_sum(_gaussian_factors(q, half), weight, lead=1 - half), digits)
 
 
 def theta0(i: int, q: HPFloat) -> HPFloat:

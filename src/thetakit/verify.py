@@ -35,8 +35,8 @@ from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
 from .numkernel import (
-    _GUARD,
     _Factors,
+    _div,
     _gaussian_factors,
     _log2,
     _series_sum,
@@ -141,7 +141,7 @@ def _theta3(ctx: ModulusContext) -> HPFloat:
     """theta3(q) = 1 + sum_p 2 q^(p^2), weight 1 and lead 1 over the
     context's Gaussian table, summed once per context and kept with it."""
     return ctx._once("theta3", lambda: HPFloat(
-        _series_sum(_gaussian(ctx), lambda p: (1, 0), lead=1), ctx.digits))
+        *_series_sum(_gaussian(ctx), lambda p: (1, 0), lead=1), ctx.digits))
 
 
 def _gaussian(ctx: ModulusContext) -> _Factors:
@@ -154,13 +154,11 @@ def _weighted_series(weight: Callable[[int], tuple[int, int]], ctx: ModulusConte
     """sum_p w(p) q^(p^2) / theta3(q) for an even weight, as
     ``_series_sum`` takes it over the context's factors 2 q^(p^2), p >= 1,
     with the exact int lead w(0), divided by the context's one theta3."""
-    from mpmath import mp
-
     total = _series_sum(_gaussian(ctx), weight, weight_bits, lead)
-    theta3 = _theta3(ctx).value
+    theta3 = _theta3(ctx)
     # a quotient of two series keeps their precision, not the working one
-    with mp.workprec(max(total.bc, theta3.bc)):
-        return HPFloat(total / theta3, ctx.digits)
+    prec = max(abs(total[0]).bit_length(), abs(theta3.mantissa).bit_length())
+    return HPFloat(*_div(total, theta3.value, prec), ctx.digits)
 
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
@@ -184,13 +182,13 @@ def _hermite_coefficients(order: int) -> list[int]:
 
 def _hermite_scaled(n: int, u, scale: int) -> list[int]:
     """V_k = c_k u^(2k) 2^scale for the coefficients c_k of H_2n and a
-    positive mpf u, so that sum_k V_k p^(2k) is H_2n(p u) 2^scale.  Each
-    V_k is truncated once, which adds less than sum_k p^(2k) units.  The
-    powers u^(2k) are int running products from u's exact mantissa, kept
-    to scale + 1 + bits(n) bits, so their relative error, below
-    k 2^(-scale-bits(n)), adds less than |H|(p u) units, where |H| has the
-    absolute values of the c_k."""
-    _, man, exp, _ = u._mpf_  # u = man 2^exp exactly
+    positive u, given as a pair (man, exp), so that sum_k V_k p^(2k) is
+    H_2n(p u) 2^scale.  Each V_k is truncated once, which adds less than
+    sum_k p^(2k) units.  The powers u^(2k) are int running products from
+    u's exact mantissa, kept to scale + 1 + bits(n) bits, so their relative
+    error, below k 2^(-scale-bits(n)), adds less than |H|(p u) units, where
+    |H| has the absolute values of the c_k."""
+    man, exp = u
     bits = scale + 1 + n.bit_length()
     square, power = (man * man, 2 * exp), (1, 0)  # u^2, and u^(2k) as (man, exp)
     values = []
@@ -221,11 +219,8 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     factor stays below one unit of the scale.  At p = 0 the weight is the
     exact int lead c_0.  Near k = 0, u is large (sigma^2 is about 2q) and
     H_{2n} reaches about q^(-n), which the bound follows."""
-    from mpmath import mp
-
     order = 2 * n
-    with mp.workdps(ctx.digits + _GUARD):
-        u = 1 / mp.sqrt(2 * ctx.sigma2.value)
+    u = (1 / (2 * ctx.sigma2).sqrt()).value
     log2_u = _log2(u)
 
     def weight_bits(p):
@@ -346,7 +341,7 @@ def verify_lambert_schett(n: int, ctx: ModulusContext, k_token: str = "") -> Ver
 def verify_jacobi_transform(c_token: str, digits: int = DEFAULT_DIGITS) -> VerificationReport:
     """Modular transformation theta3(e^(-pi/c)) = sqrt(c) theta3(e^(-pi c))."""
     c = hpf(c_token, digits)
-    if c.value <= 0:
+    if c <= 0:
         raise DomainError("transformation parameter must be positive")
     pi_h = pi(digits)
     lhs = theta0(3, (-(pi_h / c)).exp())

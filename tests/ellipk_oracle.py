@@ -12,15 +12,17 @@ from mpmath import mp
 
 from thetakit.numkernel import _GUARD, DomainError, HPFloat
 
+from mpf_bridge import from_mpf, to_mpf
+
 
 def ellipK_series(k: HPFloat) -> HPFloat:
     """K(k) by the hypergeometric series, summed until a term falls below
     10^(-digits-5) * (1 - m), which bounds the geometric tail."""
-    if not 0 < k.value < 1:
+    if not 0 < k < 1:
         raise DomainError("elliptic modulus must satisfy 0 < k < 1")
     digits = k.digits
     with mp.workdps(digits + _GUARD):
-        m = k.value * k.value
+        m = to_mpf(k) * to_mpf(k)
         threshold = mp.mpf(10) ** (-digits - 5) * (1 - m)
         term = mp.mpf(1)
         total = mp.mpf(1)
@@ -30,4 +32,4 @@ def ellipK_series(k: HPFloat) -> HPFloat:
             term = term * ratio
             total += term
             n += 1
-        return HPFloat(mp.pi / 2 * total, digits)
+        return from_mpf(mp.pi / 2 * total, digits)

@@ -12,6 +12,8 @@ from mpmath import mp
 
 from thetakit.numkernel import _GUARD, DomainError, HPFloat
 
+from mpf_bridge import from_mpf, to_mpf
+
 
 def lambert_sinh(nmax: int, c: HPFloat, digits: int) -> list[tuple[HPFloat, HPFloat]]:
     """(kappa_{2n}, its absolute series) for n = 1..nmax at ``digits`` (c may
@@ -22,7 +24,7 @@ def lambert_sinh(nmax: int, c: HPFloat, digits: int) -> list[tuple[HPFloat, HPFl
     if nmax < 1:
         raise DomainError("cumulant order index must be >= 1")
     with mp.workdps(digits + _GUARD):
-        cv = +c.value
+        cv = +to_mpf(c)
         threshold = mp.mpf(10) ** (-digits - 5)
         totals = [mp.mpf(0)] * nmax
         sizes = [mp.mpf(0)] * nmax
@@ -37,4 +39,4 @@ def lambert_sinh(nmax: int, c: HPFloat, digits: int) -> list[tuple[HPFloat, HPFl
                 if n == first_live and term < threshold:
                     first_live = n + 1
             r += 1
-        return [(HPFloat(t, digits), HPFloat(a, digits)) for t, a in zip(totals, sizes)]
+        return [(from_mpf(t, digits), from_mpf(a, digits)) for t, a in zip(totals, sizes)]

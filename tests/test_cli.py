@@ -8,11 +8,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import groupby
 
 import pytest
 
 from thetakit.cli import main
+from thetakit.numkernel import hpf, parse_modulus
 
 
 def run_cli(*argv, capsys=None):
@@ -187,6 +189,35 @@ class TestVerify:
         assert len(reports) == 3
         assert all(r["passed"] for r in reports)
         assert all(r["identity"] == "romik_eq11" for r in reports)
+
+
+class TestModulusTokens:
+    """The modulus tokens that parse_modulus accepts and rejects, as the CLI
+    took them while the decimal parser came from mpmath; the parser is now
+    thetakit's own, and "1/0", which then crashed, is a usage error."""
+
+    @pytest.mark.parametrize("token, code", [
+        ("0.5e0", 0), ("1/2", 0), ("0.99999999999999999999", 0), ("1/sqrt2", 0),
+        # accepted, but k' rounds to 1 at 20 digits, so its cells report a domain error
+        ("1e-400", 1),
+    ])
+    def test_accepted(self, token, code, capsys):
+        argv = ("verify", "symmetry", "--k", token, "--digits", "20")
+        assert run_cli(*argv, capsys=capsys)[0] == code
+
+    def test_accepted_values(self):
+        half = hpf(Fraction(1, 2), 20)
+        assert parse_modulus("0.5e0", 20) == parse_modulus("1/2", 20) == half
+        assert parse_modulus("0.99999999999999999999", 20) < 1
+        assert str(parse_modulus("1e-400", 20)) == "1.0e-400"
+        assert parse_modulus("1/sqrt2", 20) == half.sqrt()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "abc", "-0.5", "1", "1/0"])
+    def test_rejected(self, token, capsys):
+        code, out, err = run_cli("verify", "symmetry", "--k", token, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith((f"error: modulus {token} ", f"error: modulus {token!r} "))
 
 
 def _blocks(cells):

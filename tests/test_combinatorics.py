@@ -76,14 +76,15 @@ class TestCountProfiles:
         with pytest.raises(ValueError):
             count_profiles(11)
 
-    @pytest.mark.parametrize("n", range(8))
+    @pytest.mark.parametrize("n", range(9))
     def test_matches_validated_cycle_peaks(self, n):
-        # count_profiles skips the permutation check of cycle_peaks
+        # the oracle of count_profiles' recurrence: cycle_peaks over all of S_n
         tally = {}
         for perm in itertools.permutations(range(1, n + 1)):
             key = cycle_peaks(perm)
             tally[key] = tally.get(key, 0) + 1
         assert count_profiles(n).counts == tally
+        assert list(count_profiles(n).counts) == sorted(tally)
 
 
 class TestPeakNumbers:

@@ -21,6 +21,7 @@ from thetakit.numkernel import DomainError, make_context, theta0
 from thetakit.verify import hermite_weighted_series, series_moment
 
 from lambert_oracle import lambert_sinh
+from mpf_bridge import to_mpf
 from test_verify import _direct_lattice
 
 EXTRA = 60  # oracle digits beyond the context's
@@ -41,19 +42,19 @@ def _lambert_errors(ctx, orders):
     got = [cumulant_lambert(n, ctx) for n in orders]
     reference = lambert_sinh(max(orders), ctx.c, ctx.digits + EXTRA)
     with mp.workdps(ctx.digits + EXTRA):
-        return [abs(g.value - reference[n - 1][0].value) / reference[n - 1][1].value
+        return [abs(to_mpf(g) - to_mpf(reference[n - 1][0])) / to_mpf(reference[n - 1][1])
                 for g, n in zip(got, orders)]
 
 
 def _lattice_errors(ctx, orders):
     """|series - oracle| / (absolute series) for series_moment and
     hermite_weighted_series at each order."""
-    moments = [series_moment(n, ctx).value for n in orders]
-    hermites = [hermite_weighted_series(n, ctx).value for n in orders]
+    moments = [to_mpf(series_moment(n, ctx)) for n in orders]
+    hermites = [to_mpf(hermite_weighted_series(n, ctx)) for n in orders]
     with mp.workdps(ctx.digits + EXTRA):
         work = ctx.digits + EXTRA
-        q = ctx.q.value
-        scale = mp.sqrt(2 * ctx.sigma2.value)
+        q = to_mpf(ctx.q)
+        scale = mp.sqrt(2 * to_mpf(ctx.sigma2))
         theta3 = _direct_lattice(lambda p: 1, q, work)
         errors = []
         for n, moment, hermite in zip(orders, moments, hermites):
@@ -115,23 +116,22 @@ class TestAccuracySweep:
 
 
 class TestMpfOperationsPerCall:
-    """The loops run on ints: a call makes a small constant number of mpf
-    additions and multiplications, however many terms it sums.  At k = 0.9
-    and 500 digits the Lambert sum of order 16 fills and runs about 550
-    terms, and the lattice sums run about 25 points."""
+    """The loops run on ints: a call makes a small constant number of
+    rounded additions, subtractions and multiplications, however many terms
+    it sums.  At k = 0.9 and 500 digits the Lambert sum of order 16 fills
+    and runs about 550 terms, and the lattice sums run about 25 points."""
 
-    OPERATIONS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+    OPERATIONS = ("_add", "_mul")  # subtraction is a rounded addition
     PER_CALL = 12
 
     @pytest.fixture
     def count(self, monkeypatch):
-        """A function that returns the mpf operations fn() makes."""
+        """A function that returns the rounded operations fn() makes."""
         calls = []
-        mpf_type = type(mp.mpf(1))
         for name in self.OPERATIONS:
-            original = getattr(mpf_type, name)
+            original = getattr(numkernel, name)
             monkeypatch.setattr(
-                mpf_type, name, lambda *args, _op=original: calls.append(1) or _op(*args)
+                numkernel, name, lambda *args, _op=original: calls.append(1) or _op(*args)
             )
 
         def count(fn):

@@ -1,8 +1,9 @@
 """High-precision kernel tests against frozen external oracle values.
 
 Every literal below was computed independently (mpmath at 60 working
-digits) and frozen before the kernel was written; the kernel itself never
-calls mpmath's special functions, only bare mpf arithmetic.
+digits) and frozen before the kernel was written.  The kernel shares no
+code with mpmath: its numbers are ints, and mpmath serves the tests below
+as an independent oracle of the arithmetic, reached through ``mpf_bridge``.
 """
 
 import copy
@@ -10,12 +11,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
+from thetakit import numkernel
 from thetakit.numkernel import (
     DEFAULT_DIGITS,
     DomainError,
@@ -37,6 +38,7 @@ from thetakit.numkernel import (
 from thetakit.verify import _hermite_coefficients, _hermite_scaled, verify_jacobi_transform
 
 from ellipk_oracle import ellipK_series
+from mpf_bridge import to_mpf, to_pair
 from theta_product_oracle import theta3_product
 
 # frozen oracle constants (60 working digits)
@@ -77,7 +79,7 @@ class TestHPFloatScalar:
         with pytest.raises(DomainError):
             hpf(1, digits=10)
         with pytest.raises(DomainError):
-            HPFloat(mp.mpf(1), 14)
+            HPFloat(1, 0, 14)
 
     def test_fields_are_read_only(self):
         x = hpf("0.5", 30)
@@ -99,8 +101,8 @@ class TestHPFloatScalar:
         assert (a + b).digits == 60
 
     def test_negation_preserves_precision(self):
-        # unary ops must rewrap in working precision: at ambient mp.dps=15
-        # an unwrapped -x collapses to a 53-bit double
+        # unary ops round at the value's own working precision, never at a
+        # 53-bit double's
         y = pi(50)
         assert float(abs(-y + y)) == 0.0
         assert float(abs(abs(-y) - y)) == 0.0
@@ -109,12 +111,13 @@ class TestHPFloatScalar:
         assert float(abs(back - hpf("0.37", 50))) < 1e-45
 
     def test_failed_operation_restores_precision(self):
-        before = mp.prec
+        # there is no ambient precision: a failed operation leaves no state
+        before = (hpf(1, 30) / 3).value
         with pytest.raises(ZeroDivisionError):
             hpf(1, 30) / 0
         with pytest.raises(DomainError):
             hpf(1, 10)
-        assert mp.prec == before
+        assert (hpf(1, 30) / 3).value == before
 
     def test_comparisons(self):
         assert hpf(1, 20) < hpf(2, 20)
@@ -189,8 +192,8 @@ class TestAgmAndElliptic:
     def test_context_integrals_match_public_functions(self, token, digits):
         ctx = make_context(token, digits)
         for k, big_k, big_e in ((ctx.k, ctx.K, ctx.E), (ctx.kprime, ctx.Kprime, ctx.Eprime)):
-            assert ellipK(k).value._mpf_ == big_k.value._mpf_
-            assert ellipE(k).value._mpf_ == big_e.value._mpf_
+            assert ellipK(k).value == big_k.value
+            assert ellipE(k).value == big_e.value
 
     def test_series_route_agrees_with_agm(self):
         for tok in ("0.3", "0.6"):
@@ -285,12 +288,12 @@ class TestThetaSweep:
     @pytest.mark.parametrize("i, z, q, digits", _sweep_cases())
     def test_against_jtheta(self, i, z, q, digits):
         q_h, z_h = hpf(q, digits), hpf(z, digits)
-        got = theta(i, z_h, q_h).value
+        got = to_mpf(theta(i, z_h, q_h))
         if i == 1 and z == "0":
             assert got == 0
             return
         with mp.workdps(digits + 60):
-            ref = mp.jtheta(i, z_h.value, q_h.value)
+            ref = mp.jtheta(i, to_mpf(z_h), to_mpf(q_h))
             assert abs(got - ref) <= abs(ref) * mp.mpf(10) ** (2 - digits)
 
 
@@ -308,11 +311,11 @@ class TestHermite:
     def test_golden_values_at_one(self):
         assert [sum(_hermite_coefficients(m)) for m in range(6)] == [1, 2, 2, -4, -20, -8]
         for scale in (0, 7, 200):
-            got = [_hermite_value(n, mp.mpf(1), 1, scale) for n in range(3)]
+            got = [_hermite_value(n, (1, 0), 1, scale) for n in range(3)]
             assert got == [h << scale for h in (1, 2, -20)]
 
     def test_exact_fraction_input(self):
-        half = mp.mpf(1) / 2
+        half = (1, -1)
         for scale in (1, 7, 200):
             # x = p/2: H_2(1/2) = -1, H_4(1/2) = 1, H_2(3/2) = 7, H_4(3/2) = -15
             assert _hermite_value(1, half, 1, scale) == -1 << scale
@@ -326,7 +329,7 @@ class TestHermite:
         with mp.workdps(80):
             third = mp.mpf(1) / 3
             ref = mp.hermite(12, third) * mp.mpf(2) ** scale
-        assert abs(_hermite_value(6, third, 1, scale) - ref) < 2 ** 40
+        assert abs(_hermite_value(6, to_pair(third), 1, scale) - ref) < 2 ** 40
 
     @pytest.mark.parametrize("x", (-3, 0, 1, 2, 7))
     def test_coefficients_against_recurrence(self, x):
@@ -413,37 +416,207 @@ class TestModulusContext:
         ctx = make_context(k, 40)
         dual = dual_context(ctx)
         assert dual.digits == ctx.digits
-        assert dual.K.value._mpf_ == ctx.Kprime.value._mpf_
+        assert dual.K.value == ctx.Kprime.value
 
     @pytest.mark.parametrize("k", ["0.3", "1/sqrt2"])
     def test_m_is_k_squared(self, k):
         ctx = make_context(k, 40)
-        assert ctx.m.value._mpf_ == (ctx.k * ctx.k).value._mpf_
+        assert ctx.m.value == (ctx.k * ctx.k).value
 
 
 class TestFirstUse:
-    """mpmath is bound when the first number is made, so each entry point
-    must work as the first thing a fresh process runs, with no hpf before it."""
+    """pi and ln 2 are computed when first needed and cached, so each entry
+    point must work as the first thing a fresh process runs, with no hpf
+    before it, and print what it prints here."""
 
     @pytest.mark.parametrize("expr", [
         'hpf("0.5", 20).sqrt()',
         "pi(20)",
-        "HPFloat(mpmath.mpf(2), 20).sqrt()",
-        "HPFloat(mpmath.mpf(2), 20)",  # str, which renders through mp.nstr
         'theta(1, "0.4", hpf("0.1", 20))',
         'make_context("0.3", 20).q',
         "gamma_quarter(20)",
     ])
     def test_entry_point_in_a_fresh_process(self, expr):
-        names = ("HPFloat", "gamma_quarter", "hpf", "make_context", "pi", "theta")
-        code = (
-            ("import mpmath\n" if "mpmath" in expr else "")
-            + f"from thetakit.numkernel import {', '.join(names)}\n"
-            + f"print({expr})\n"
-        )
+        names = ("gamma_quarter", "hpf", "make_context", "pi", "theta")
+        code = f"from thetakit.numkernel import {', '.join(names)}\nprint({expr})\n"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        namespace = {name: globals()[name] for name in names} | {"mpmath": mpmath}
+        namespace = {name: globals()[name] for name in names}
         assert proc.stdout == f"{eval(expr, namespace)}\n"
+
+
+# ---------------------------------------------------------------------------
+# The number format against mpmath, an independent oracle: the same prec
+# (mpmath's dps_to_prec of digits + _GUARD) and rounding to nearest.
+# ---------------------------------------------------------------------------
+
+
+def _oracle(digits, fn, *args):
+    """fn(*args) in mpmath at the working precision of a digits-digit value."""
+    with mp.workprec(libmp.dps_to_prec(digits + numkernel._GUARD)):
+        return to_pair(fn(*args))
+
+
+def _exact_fraction(pair):
+    return pair[0] * Fraction(2) ** pair[1]
+
+
+def _within_an_ulp(got, ref, prec):
+    """|got - ref| is at most one unit in the prec-bit last place of ref."""
+    top = abs(ref[0]).bit_length() + ref[1]
+    return abs(_exact_fraction(got) - _exact_fraction(ref)) <= Fraction(2) ** (top - prec)
+
+
+mantissas = st.integers(1, 3000).flatmap(lambda bits: st.integers(-(2 ** bits), 2 ** bits))
+values = st.builds(lambda man, exp: numkernel._exact(man, exp), mantissas, st.integers(-4000, 4000))
+precisions = st.integers(15, 1000)
+
+
+def _decimal_literal(sign, whole, fraction, exp10):
+    return f"{sign}{whole}.{fraction}e{exp10}"
+
+
+decimal_literals = st.builds(
+    _decimal_literal, st.sampled_from(["", "-", "+"]), st.integers(0, 10 ** 30),
+    st.text("0123456789", min_size=1, max_size=60), st.integers(-400, 400),
+)
+
+
+class TestArithmeticAgainstMpmath:
+    @settings(max_examples=300, deadline=None)
+    @given(a=values, b=values, digits=precisions, n=st.integers(-40, 40))
+    def test_operations_are_bit_identical(self, a, b, digits, n):
+        x, y = HPFloat(*a, digits), HPFloat(*b, digits)
+        xm, ym = to_mpf(x), to_mpf(y)
+        assert (x + y).value == _oracle(digits, lambda: xm + ym)
+        assert (x - y).value == _oracle(digits, lambda: xm - ym)
+        assert (x * y).value == _oracle(digits, lambda: xm * ym)
+        assert (-x).value == _oracle(digits, lambda: -xm)
+        assert abs(x).value == _oracle(digits, lambda: abs(xm))
+        assert abs(x).sqrt().value == _oracle(digits, lambda: mp.sqrt(abs(xm)))
+        if b[0]:
+            assert (x / y).value == _oracle(digits, lambda: xm / ym)
+        if a[0] or n >= 0:
+            assert (x ** n).value == _oracle(digits, lambda: xm ** n)
+        assert (x < y, x == y, x > y) == (xm < ym, xm == ym, xm > ym)
+
+    @pytest.mark.parametrize("digits", (15, 50, 500))
+    def test_ties_round_to_even(self, digits):
+        # random operands almost never land on a tie; these ints and sums do
+        prec = numkernel._bits(digits)
+        for m in (1 << (prec - 1), (1 << (prec - 1)) + 1, (1 << prec) - 1):
+            for n in (2 * m + 1, 4 * m + 1, 4 * m + 2, 4 * m + 3, -(2 * m + 1)):
+                assert hpf(n, digits).value == _oracle(digits, mp.mpf, n), n
+            x, half = hpf(m, digits), HPFloat(1, -1, digits)
+            assert (x + half).value == _oracle(digits, lambda: mp.mpf(m) + mp.mpf(0.5))
+            assert (x * 2 + 1).value == _oracle(digits, lambda: mp.mpf(m) * 2 + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=values, digits=precisions)
+    def test_equal_values_hash_alike(self, a, digits):
+        x = HPFloat(*a, digits)
+        assert hash(x) == hash(to_mpf(x)) == hash(_exact_fraction(x.value))
+        assert float(x) == float(to_mpf(x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(i=mantissas, num=mantissas, den=st.integers(1, 2 ** 3000), text=decimal_literals,
+           digits=precisions)
+    def test_constructions_are_bit_identical(self, i, num, den, text, digits):
+        ratio = Fraction(num, den)
+        assert hpf(i, digits).value == _oracle(digits, mp.mpf, i)
+        assert hpf(ratio, digits).value == _oracle(
+            digits, lambda: mp.mpf(ratio.numerator) / mp.mpf(ratio.denominator))
+        assert hpf(text, digits).value == _oracle(digits, mp.mpf, text)
+        assert hpf(f"{num}/{den}", digits).value == _oracle(digits, mp.mpf, f"{num}/{den}")
+
+    @settings(max_examples=50, deadline=None)
+    @given(man=st.integers(1, 10 ** 40), exp10=st.integers(401, 5000),
+           sign=st.sampled_from([1, -1]), digits=precisions)
+    def test_far_decimal_exponents_within_an_ulp(self, man, exp10, sign, digits):
+        prec = numkernel._bits(digits)
+        for text in (f"{man}e{sign * exp10}", f"-{man}e{sign * exp10}"):
+            assert _within_an_ulp(hpf(text, digits).value, _oracle(digits + 30, mp.mpf, text), prec)
+            assert _within_an_ulp(hpf(text, digits).value, _oracle(digits, mp.mpf, text), prec)
+
+
+# the functions the kernel computes in fixed point, each as (kernel, mpmath)
+TRANSCENDENTAL = {
+    "exp": (numkernel._exp, mp.exp),
+    "log": (numkernel._log, mp.log),
+    "cos": (lambda a, prec: numkernel._cos_sin(a, prec)[0], mp.cos),
+    "sin": (lambda a, prec: numkernel._cos_sin(a, prec)[1], mp.sin),
+}
+SWEEP_DIGITS = (15, 20, 30, 50, 137, 500, 1000)
+SWEEP_ARGUMENTS = (
+    "1e-30", "0.001", "0.37", "0.5", "0.7071067811865476", "1", "1.0000001", "2.5", "3.14159",
+    "7", "100", "1845.5", "-0.37", "-2.5", "-100", "-1845.5", "1e-400",
+)
+
+
+class TestTranscendentalAgainstMpmath:
+    @pytest.mark.parametrize("digits", SWEEP_DIGITS)
+    def test_pi_is_identical(self, digits):
+        assert pi(digits).value == _oracle(digits, lambda: +mp.pi)
+
+    @pytest.mark.parametrize("digits", SWEEP_DIGITS)
+    @pytest.mark.parametrize("name", sorted(TRANSCENDENTAL))
+    def test_identical_on_a_fixed_sweep(self, name, digits):
+        kernel, oracle = TRANSCENDENTAL[name]
+        prec = numkernel._bits(digits)
+        for text in SWEEP_ARGUMENTS:
+            if name == "log" and text.startswith("-"):
+                continue
+            a = hpf(text, digits).value
+            assert kernel(a, prec) == _oracle(digits, oracle, to_mpf(a)), text
+
+    @settings(max_examples=40, deadline=None)
+    @given(man=st.integers(1, 2 ** 200), exp=st.integers(-260, -190), negative=st.booleans(),
+           digits=precisions, name=st.sampled_from(sorted(TRANSCENDENTAL)))
+    def test_within_an_ulp(self, man, exp, negative, digits, name):
+        kernel, oracle = TRANSCENDENTAL[name]
+        a = numkernel._exact(-man if negative and name != "log" else man, exp)
+        prec = numkernel._bits(digits)
+        assert _within_an_ulp(kernel(a, prec), _oracle(digits, oracle, to_mpf(a)), prec)
+
+    @pytest.mark.parametrize("digits", (20, 50, 500))
+    def test_near_one_and_near_zeros(self, digits):
+        # log near 1 and cos, sin near their zeros keep their relative precision
+        prec = numkernel._bits(digits)
+        for text in ("1.000000000000000000000000000001", "0.99999999999999999999"):
+            a = hpf(text, digits).value
+            assert numkernel._log(a, prec) == _oracle(digits, mp.log, to_mpf(a))
+        for a in (numkernel._pi(prec), (numkernel._pi(prec)[0], numkernel._pi(prec)[1] - 1)):
+            assert numkernel._cos_sin(a, prec) == (
+                _oracle(digits, mp.cos, to_mpf(a)), _oracle(digits, mp.sin, to_mpf(a)))
+
+
+NSTR_VALUES = (
+    "0", "1", "-1", "0.5", "-0.125", "3.14159265358979323846264338327950288", "123456789012345678",
+    "9.9999999999999999999999999999999999999999999", "-0.000099999999999999999999999999", "1e-5",
+    "1e-6", "1e-400", "-7.25e-1100", "1e-1200", "4.5e1100", "-1e1500", "0.99999999999999999999",
+)
+
+
+class TestDecimalStringAgainstNstr:
+    @pytest.mark.parametrize("digits", (4, 15, 20, 30, 50, 137, 500, 1000))
+    def test_sweep(self, digits):
+        at = max(digits, 15)
+        # pow10(8 - digits) is the suite tolerance, 1.0e-22 at 30 digits
+        values = [hpf(text, at) for text in NSTR_VALUES] + [pow10(8 - at, at), pi(at), -pi(at)]
+        third = hpf(Fraction(1, 3), at)
+        values += [third * pow10(e, at) for e in (-1100, -40, -6, -5, 0, 5, at, 1100)]
+        for x in values:
+            assert x.to_decimal_string(digits) == mp.nstr(to_mpf(x), digits), x.value
+
+    def test_beyond_the_str_limit(self):
+        # 5000 digits are more than str() of an int gives by default
+        for x in (pi(5000), -pi(5000) * pow10(-3000, 5000), 1 - pow10(-5010, 5010)):
+            assert x.to_decimal_string(5000) == mp.nstr(to_mpf(x), 5000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=values, digits=st.integers(1, 1000))
+    def test_random_values(self, a, digits):
+        x = HPFloat(*a, max(digits, 15))
+        assert x.to_decimal_string(digits) == mp.nstr(to_mpf(x), digits)

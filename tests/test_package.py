@@ -82,7 +82,8 @@ class TestDependencies:
     def test_exact_commands_leave_mpmath_unloaded(self):
         # perfbench's tracer looks up every thetakit.<layer> in sys.modules
         # right after `import thetakit.cli`, so all seven layers must be
-        # imported at start; mpmath is loaded only when a number is made
+        # imported at start; no command loads mpmath, not even one that
+        # makes numbers
         layers = [module.__name__ for module in LAYERS] + ["thetakit.cli"]
         code = (
             "import contextlib, io, sys\n"
@@ -95,14 +96,15 @@ class TestDependencies:
             "    codes = [thetakit.cli.main(args) for args in runs]\n"
             "print(codes, 'mpmath' in sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = thetakit.cli.main(['verify', 'symmetry', '--k', '0.3'])\n"
-            "print(code, 'mpmath' in sys.modules)\n"
+            "    codes = [thetakit.cli.main(['verify', 'symmetry', '--k', '0.3']),\n"
+            "             thetakit.cli.main(['verify', 'all', '--nmax', '1'])]\n"
+            "print(codes, 'mpmath' in sys.modules)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True\n[0, 0, 0, 0, 0, 0] False\n0 True\n"
+        assert proc.stdout == "True\n[0, 0, 0, 0, 0, 0] False\n[0, 0] False\n"
 
     def test_declared_dependencies_are_the_imported_ones(self):
         tomllib = pytest.importorskip("tomllib")

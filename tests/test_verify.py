@@ -36,6 +36,8 @@ from thetakit.verify import (
     verify_variance_symmetry,
 )
 
+from mpf_bridge import to_mpf
+
 
 @pytest.fixture(scope="module")
 def ctx06():
@@ -105,13 +107,13 @@ class TestGaussianSumAgainstDirectPowers:
     @pytest.mark.parametrize("k", GAUSS_MODULI)
     def test_moment_and_hermite_series(self, k, digits):
         ctx = make_context(k, digits)
-        moments = [series_moment(n, ctx).value for n in range(9)]
-        hermites = [hermite_weighted_series(n, ctx).value for n in range(9)]
+        moments = [to_mpf(series_moment(n, ctx)) for n in range(9)]
+        hermites = [to_mpf(hermite_weighted_series(n, ctx)) for n in range(9)]
         bound = mp.mpf(10) ** (2 - digits)
         with mp.workdps(digits + GAUSS_EXTRA):
             work = digits + GAUSS_EXTRA
-            q = ctx.q.value
-            scale = mp.sqrt(2 * ctx.sigma2.value)
+            q = to_mpf(ctx.q)
+            scale = mp.sqrt(2 * to_mpf(ctx.sigma2))
             theta3 = _direct_lattice(lambda p: 1, q, work)
             for n in range(9):
                 moment = _direct_lattice(lambda p: mp.mpf(p) ** (2 * n), q, work) / theta3

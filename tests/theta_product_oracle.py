@@ -12,6 +12,8 @@ from mpmath import mp
 
 from thetakit.numkernel import _GUARD, HPFloat
 
+from mpf_bridge import from_mpf, to_mpf
+
 
 def theta3_product(q: HPFloat) -> HPFloat:
     """theta3 by its infinite product (q^2; q^2) (-q; q^2)^2, truncated when
@@ -19,7 +21,7 @@ def theta3_product(q: HPFloat) -> HPFloat:
     powers q^(2p-1) and q^(2p) are running products in q^2."""
     digits = q.digits
     with mp.workdps(digits + _GUARD):
-        qv = +q.value
+        qv = +to_mpf(q)
         threshold = mp.mpf(10) ** (-digits - 5)
         q2 = qv * qv
         total = mp.mpf(1)
@@ -30,4 +32,4 @@ def theta3_product(q: HPFloat) -> HPFloat:
                 break
             odd *= q2
             even *= q2
-        return HPFloat(total, digits)
+        return from_mpf(total, digits)
