@@ -192,22 +192,27 @@ def _cmd_verify(args) -> int:
     else:
         ks = DEFAULT_KS
     reports = run_suite(cells_for(_VERIFY_SUITES[args.which], args.nmax, ks), args.digits)
-    lines = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        line = (
-            f"[{status}] {r.identity} n={'-' if r.n is None else r.n} k={r.k} "
-            f"residual={_short(r.residual)} tolerance={_short(r.tolerance)}"
-        )
-        if r.error:
-            line += f" error={r.error}"
-        lines.append(line)
     passed = sum(1 for r in reports if r.passed)
-    lines.append(f"{passed}/{len(reports)} cells passed at {args.digits} digits")
-    payload = [r.to_dict() for r in reports]
     header = ["identity", "n", "k", "digits", "lhs", "rhs", "residual", "tolerance", "passed", "error"]
-    csv_rows = [[row[key] for key in header] for row in payload]
-    _emit(args, "\n".join(lines), payload, header, csv_rows)
+    # each format renders only what it writes
+    text, payload, csv_rows = "", None, []
+    if args.format == "text":
+        lines = []
+        for r in reports:
+            status = "PASS" if r.passed else "FAIL"
+            line = (
+                f"[{status}] {r.identity} n={'-' if r.n is None else r.n} k={r.k} "
+                f"residual={_short(r.residual)} tolerance={_short(r.tolerance)}"
+            )
+            if r.error:
+                line += f" error={r.error}"
+            lines.append(line)
+        lines.append(f"{passed}/{len(reports)} cells passed at {args.digits} digits")
+        text = "\n".join(lines)
+    else:
+        payload = [r.to_dict() for r in reports]
+        csv_rows = [[row[key] for key in header] for row in payload]
+    _emit(args, text, payload, header, csv_rows)
     return 0 if passed == len(reports) else 1
 
 

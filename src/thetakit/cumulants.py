@@ -6,10 +6,12 @@ Three independent routes to the same quantities:
            the binomial self-convolution of reduced Schett evaluations,
            read off the EGF of the square of the sn solution;
   lambert  kappa_{2n} = sum_{r>=1} (-1)^(r-1) r^(2n-1) / sinh(c r pi)
-                     = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)),
-           q = exp(-pi c) the nome: the kernel's one series loop over
-           one factor table per context, shared by every order, with the
-           exact int weights r^(2n-1);
+                     = sum_{r>=1} (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r))
+                     = 2 sum_{N>=1} a_N(n) q^N,
+           a_N(n) = sum_{r | N, N/r odd} (-1)^(r-1) r^(2n-1), q = exp(-pi c)
+           the nome: the kernel's one int dot product over one table of
+           plain powers 2 q^N per context, shared by every order, with the
+           exact int weights a_N(n), which depend on N and n alone;
   lattice  kappa_{2n} from a double sum over odd pairs (an Eisenstein-type
            series), absolutely convergent for 2n >= 4.
 
@@ -19,7 +21,9 @@ The exact route carries no transcendental factor: the grade index n implies
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -101,40 +105,82 @@ def cumulant_poly(n: int) -> CumulantPoly:
     return CumulantPoly(n=n, P=p_poly(n - 1), sign=sign)
 
 
-def _lambert_factors(q: HPFloat) -> _Factors:
-    """The factors f_r = 2 q^r / (1 - q^(2r)) <= f_1 q^(r-1), r >= 1.  q^r
-    and q^(2r) are running products; 1 - q^(2r) is formed exactly on a 2^P
-    scale, with q^(2r) truncated onto it, and f_r is one int division,
-    whose quotient keeps at least P bits.  To first order f_r has a relative
-    error below 3r 2^(1-P) / (1 - q^2): r steps of the two running
-    products, the cancellation in 1 - q^(2r) and the quotient."""
+def _power_factors(q: HPFloat) -> _Factors:
+    """The factors f_N = 2 q^N = f_1 q^(N-1), N >= 1: q^N is one truncated
+    product per entry, the square of q^(N/2) for even N (an int square costs
+    about half a product) and q^(N-1) q for odd N, so it has a relative
+    error below (2N - 1) 2^(-P)."""
 
     def fill(q1, bits):
-        q2 = q_2r = _times(q1, q1, bits)
-        q_r = q1
+        powers = [q1, q1]  # q^N at index N
         while True:
-            (num, num_exp), (sq, sq_exp) = q_r, q_2r
-            # q^(2r) < 1 has exponent sq_exp <= -bits; (1 - q^(2r)) 2^bits
-            denominator = (1 << bits) - (sq >> (-sq_exp - bits))
-            # f_r = 2 num 2^num_exp / (denominator 2^(-bits))
-            yield (num << (bits + 1)) // denominator, num_exp
-            q_r, q_2r = _times(q_r, q1, bits), _times(q_2r, q2, bits)
+            yield powers[-1][0], powers[-1][1] + 1
+            n = len(powers)
+            half = powers[n >> 1]
+            powers.append(_times(half, half, bits) if n % 2 == 0 else _times(powers[-1], q1, bits))
 
-    return _Factors(q, lambda r: r - 1, fill)
+    return _Factors(q, lambda n: n - 1, fill)
+
+
+# power -> [0, a_1, a_2, ...]: the Lambert weights of one order, grown in
+# place to the longest table summed in this process
+_LAMBERT_WEIGHTS: dict[int, list[int]] = {}
+
+
+def _first_odd_multiple(low: int, step: int) -> int:
+    """The least odd m with m step > low."""
+    m = low // step + 1
+    return m + 1 - m % 2
+
+
+def _lambert_weights(power: int, count: int) -> list[int]:
+    """[0, a_1, ..., a_L], L >= count, with a_N = sum_{r | N, N/r odd}
+    (-1)^(r-1) r^power: for N = 2^a M, M odd, a_N = sigma_power(M) when
+    a = 0 and -2^(a power) sigma_power(M) when a >= 1.  Kept per power and
+    grown by at least a quarter of its length when a longer table asks, by a
+    sieve over the new indices only: sigma_power(M) sums d^power over the odd pairs
+    d j = M, in strided slices over d for each j up to sqrt(L) and over j
+    for each smaller d, then a_(2^a M) is one strided slice per a."""
+    sums = _LAMBERT_WEIGHTS.setdefault(power, [0])
+    done = len(sums) - 1
+    if done >= count:
+        return sums
+    size = max(count, done + done // 4)
+    sums.extend(itertools.repeat(0, size - done))
+    odd = list(map(pow, range(1, size + 1, 2), itertools.repeat(power)))  # d^power at (d - 1)/2
+    root = math.isqrt(size)
+    beyond = root + 1 + root % 2  # the least odd j above root
+    for j in range(1, root + 1, 2):
+        d = _first_odd_multiple(done, j)
+        sums[d * j::2 * j] = map(operator.add, sums[d * j::2 * j], odd[d >> 1:])
+    for d in range(1, size // beyond + 1, 2):
+        j = max(beyond, _first_odd_multiple(done, d))
+        sums[d * j::2 * d] = map(operator.add, sums[d * j::2 * d], itertools.repeat(odd[d >> 1]))
+    twos = 2
+    while twos <= size:
+        m = _first_odd_multiple(done, twos)
+        sums[m * twos::2 * twos] = map(operator.mul, sums[m:size // twos + 1:2],
+                                       itertools.repeat(-twos ** power))
+        twos *= 2
+    return sums
 
 
 def cumulant_lambert(n: int, ctx: ModulusContext) -> HPFloat:
     """Numeric kappa_{2n} by the alternating Lambert series in the nome,
-    sum_r (-1)^(r-1) r^(2n-1) f_r with f_r = 1/sinh(c r pi) = 2 q^r / (1 - q^(2r))
-    and q = ctx.q, by the kernel's ``_series_sum`` over the context's one
-    table of ``_lambert_factors``, grown to the longest order asked, with
-    the exact int weight r^(2n-1): no mpf operation, no transcendental term."""
+    sum_r (-1)^(r-1) r^(2n-1) 2 q^r / (1 - q^(2r)) = 2 sum_N a_N(n) q^N with
+    q = ctx.q, by the kernel's ``_series_sum`` over the context's one table
+    of plain powers 2 q^N (``_power_factors``), grown to the longest order
+    asked, and the exact int weights a_N(n) of ``_lambert_weights``, built
+    once per process and grown with the longest table.  They are bounded by
+    |a_N| <= N^(2n-1) H_N, H_N the harmonic number.  No term makes a rounded
+    operation, a transcendental call or a division."""
     if n < 1:
         raise DomainError("cumulant order index must be >= 1")
     power = 2 * n - 1
-    factors = ctx._once("lambert", lambda: _lambert_factors(ctx.q))
-    total = _series_sum(factors, lambda r: (r ** power if r % 2 else -r ** power, 0),
-                        lambda r: (r ** power).bit_length())
+    factors = ctx._once("powers", lambda: _power_factors(ctx.q))
+    total = _series_sum(factors,
+                        lambda count: itertools.islice(_lambert_weights(power, count), 1, None),
+                        lambda N: (N ** power * (N.bit_length() + 1)).bit_length())
     return HPFloat(*total, ctx.digits)
 
 

@@ -27,16 +27,22 @@ One AGM loop, ``_agm_pass``, gives each modulus K and E from one pass: K and
 that an exact modulus (ROADMAP direction 1) retires.
 
 Every series in the nome (theta, the Lambert cumulants of ``cumulants``,
-the moment and Hermite sums of ``verify``) is the one loop ``_series_sum``
-over one table type, ``_Factors``, of int (mantissa, exponent) pairs at a
-fixed relative precision of P = prec + _TABLE_GUARD bits, grown on demand
-by running int products.  A context keeps its tables; a bare-nome theta
-call builds a throwaway one.  The one error analysis: a factor stepped n
-times is off by about n^2 2^(1-P) relative at most; the truncations of the
-terms, the weights' own errors and the tail each stay below about
-2^(-prec) times the first factor (``_series_sum``).  Each call returns its
-sum exactly and keeps the scale's precision: the first HPFloat operation on
-the result rounds it, so the sum adds no rounding of its own.
+the power sums behind the moment and Hermite sums of ``verify``) is one int
+dot product, ``_series_sum``, over one table type, ``_Factors``, of int
+(mantissa, exponent) pairs at a fixed relative precision of
+P = prec + _TABLE_GUARD bits, grown on demand by running int products.  A
+context keeps its tables; a bare-nome theta call builds a throwaway one.
+The one error analysis: a factor stepped n times is off by about
+n^2 2^(1-P) relative at most.  The sum takes the factors down to 2^(-prec)
+of the first over the weight bound, and shifts each once onto a scale of
+prec bits below the first factor plus the bits of the index bound, widened
+by the bits of the weight bound: times its weight, each truncation is below
+one unit of the unwidened scale, so the truncations together, like the tail,
+stay below about 2^(-prec) times the first factor.  The weights are exact
+ints (or ints over a fixed power of two), so the dot product itself is
+exact: each call returns its sum exactly and keeps the scale's precision,
+and the first HPFloat operation on the result rounds it, so the sum adds no
+rounding of its own.
 
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
@@ -58,11 +64,13 @@ module computes nothing.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 import sys
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .exactalg import _Frozen
 
@@ -102,6 +110,7 @@ Scalar = Union["HPFloat", int, Fraction, str]
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _bits(digits: int) -> int:
     """The working precision of a digits-digit value in bits: that of
     digits + _GUARD decimal digits, round((digits + _GUARD + 1) log2 10)."""
@@ -110,6 +119,8 @@ def _bits(digits: int) -> int:
 
 def _exact(man: int, exp: int) -> tuple[int, int]:
     """man 2^exp in canonical form, unrounded."""
+    if man & 1:  # already canonical, as most results are
+        return man, exp
     if not man:
         return 0, 0
     zeros = (man & -man).bit_length() - 1
@@ -734,24 +745,19 @@ class _Factors:
     demand as int pairs (man, exp), f_n ~ man 2^exp, at a fixed relative
     precision of P = prec + _TABLE_GUARD bits (prec for digits + _GUARD), so
     that an entry depends on q alone, not on which sum grew it.  fill(q, P)
-    generates them from q as a P-bit pair by running int products, each
-    truncated down to P bits.  exponent(n) bounds f_n <= f_1 q^exponent(n),
-    which gives ``reach`` its index bound from the nome alone."""
+    generates them, non-increasing, from q as a P-bit pair by running int
+    products, each truncated down to P bits.  exponent(n) bounds
+    f_n <= f_1 q^exponent(n), which gives ``reach`` its index bound from the
+    nome alone."""
 
     __slots__ = ("prec", "decay", "exponent", "values", "_more")
 
     def __init__(self, q: HPFloat, exponent: Callable[[int], int], fill) -> None:
         self.prec = _bits(q.digits)
         self.exponent, self.decay = exponent, -_log2(q.value)
-        self.values: list[tuple[int, int]] = []
         bits = self.prec + _TABLE_GUARD
         self._more = fill(_pair(q.value, bits), bits)
-
-    def __getitem__(self, n: int) -> tuple[int, int]:
-        values = self.values
-        while len(values) < n:
-            values.append(next(self._more))
-        return values[n - 1]
+        self.values: list[tuple[int, int]] = [next(self._more)]
 
     def reach(self, weight_bits: Callable[[int], int]) -> int:
         """The first power of two n at which f_n 2^weight_bits(n) is below
@@ -761,35 +767,48 @@ class _Factors:
             last *= 2
         return last
 
+    def upto(self, stop: int) -> int:
+        """The index of the first factor below 2^stop, grown to it."""
+        values = self.values
+        while _top(values[-1]) > stop:
+            values.append(next(self._more))
+        return bisect.bisect_left(values, -stop, key=_depth) + 1
 
-def _series_sum(factors: _Factors, weight: Callable[[int], tuple[int, int]],
-                weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0):
+
+def _top(x: tuple[int, int]) -> int:
+    """The exponent just above a positive (man, exp) value: x < 2^_top(x)."""
+    return x[1] + x[0].bit_length()
+
+
+def _depth(x: tuple[int, int]) -> int:
+    return -_top(x)
+
+
+def _series_sum(factors: _Factors, weights: Callable[[int], Iterable[int]],
+                weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0, point: int = 0):
     """lead + sum_{n >= 1} w(n) f_n over a factor table, as an exact
-    (man, exp) pair.
+    (man, exp) pair: one int dot product.
 
-    weight(n) is w(n) as an int pair (v, s), w(n) ~ v 2^(-s), so an exact
-    int (s = 0) is never shifted before the multiply; weight_bits(n) bounds
-    log2 |w| up to n.  The sum is one int scaled by 2^S, S = prec plus the
-    bits of the index bound ``reach`` above f_1 < 2^top: each term is
-    truncated once onto it, so all of them stay below 2^(top-prec).  It
-    stops after the first factor below 2^(top-prec) over the weight bound
-    at ``reach``, so a small weight cannot end it early and the tail is of
-    that order.  The lead is added exactly and the total is returned
-    exactly: the loop makes no rounded operation."""
+    weights(count) gives the ints W_1, W_2, ... (at least count of them),
+    w(n) = W_n 2^(-point); weight_bits(n) bounds log2 |w| up to n.  The sum
+    stops after the first factor below 2^(top-prec) over the weight bound at
+    the index bound ``reach``, f_1 < 2^top, so a small weight cannot end it
+    early and the tail is of that order.  Each summed factor is truncated
+    once onto 2^(-S-B), S = prec plus the bits of ``reach`` less top, widened
+    by B = point plus that weight bound: times its |W_n| <= 2^B it is off by
+    less than a unit of 2^(-S), and the count of units below 2^(top-prec).
+    The weights multiply the shifted factors exactly, so the lead is added
+    exactly and the total is returned exactly: the sum makes no rounded
+    operation."""
     last = factors.reach(weight_bits)
-    man, exp = factors[1]
-    top = exp + man.bit_length()
-    scale = factors.prec + last.bit_length() - top
-    stop = top - factors.prec - weight_bits(last)
-    total, n = lead << scale, 1
-    while True:
-        man, exp = factors[n]
-        v, s = weight(n)
-        shift, term = exp - s + scale, man * v
-        total += term << shift if shift >= 0 else term >> -shift
-        if exp + man.bit_length() <= stop:
-            return _exact(total, -scale)
-        n += 1
+    top = _top(factors.values[0])
+    bound = weight_bits(last)
+    count = factors.upto(top - factors.prec - bound)
+    scale = factors.prec + last.bit_length() - top + bound + point
+    lift = max(0, factors.values[0][1] + scale)  # shift left first, then drop bits
+    terms = [man << lift >> (lift - exp - scale) for man, exp in factors.values[:count]]
+    total = sum(map(operator.mul, weights(count), terms))
+    return _exact(total + (lead << (scale + point)), -scale - point)
 
 
 def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
@@ -820,9 +839,9 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     """Theta function value theta_i(zarg, q) for real zarg, i in 1..4: the
     lattice sum of sign^(n-h) q^((n-h)^2) trig((2n-2h) z), with (h, sign,
     trig) from ``_THETA_SERIES``, by ``_series_sum`` over a throwaway table
-    with the full lattice's n = 0 term as the lead 1.  At z = 0 the
-    trigonometric factor is the exact int trig(0); elsewhere each term
-    evaluates it, rounded, and passes its mantissa and exponent as they are."""
+    with the full lattice's n = 0 term as the lead 1.  At z = 0 the weights
+    are the exact ints sign^(n-h) trig(0); elsewhere each is trig, rounded,
+    on prec fractional bits."""
     _require_nome(q)
     if i not in _THETA_SERIES:
         raise DomainError("theta index must be 1, 2, 3 or 4")
@@ -830,14 +849,18 @@ def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
     digits, prec = q.digits, _bits(q.digits)
     z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
     zman, zexp = _round(*z_h.value, prec)
+    signs = (sign, 1) if half else (1, sign)  # sign^(n-h) for even and odd n
+    point = prec if zman else 0
 
-    def weight(n):
-        if not zman:
-            return sign ** (n - half) * (1 - trig), 0  # cos 0 = 1, sin 0 = 0
-        man, exp = _cos_sin(_round((2 * n - half) * zman, zexp, prec), prec)[trig]
-        return sign ** (n - half) * man, -exp
+    def weights(count):
+        if not zman:  # cos 0 = 1, sin 0 = 0
+            return [signs[n % 2] * (1 - trig) for n in range(1, count + 1)]
+        return [signs[n % 2] * _fixed(_cos_sin(_round((2 * n - half) * zman, zexp, prec),
+                                               prec)[trig], prec)
+                for n in range(1, count + 1)]
 
-    return HPFloat(*_series_sum(_gaussian_factors(q, half), weight, lead=1 - half), digits)
+    total = _series_sum(_gaussian_factors(q, half), weights, lead=1 - half, point=point)
+    return HPFloat(*total, digits)
 
 
 def theta0(i: int, q: HPFloat) -> HPFloat:

@@ -6,13 +6,14 @@ lemniscatic special case, the dual-modulus variance and moment relations,
 and the supporting elliptic identities (Legendre, modular transformation,
 series-vs-polynomial cumulants).
 
-Both ground-truth series are the kernel's one series loop, with a weight,
-over the context's one Gaussian factor table, divided by theta3, which is
-the same loop with weight 1; the table, theta3, the moments and the moment
-polynomials R_2j(m) are kept with the context.  The weights are ints:
-p^(2n) exactly, and H_2n(p/(sigma sqrt 2)) as a Horner sum in p^2 of its
-fixed-point coefficients, whose guard bits come from a bound on |H_2n| over
-the summed range.
+Both ground-truth series come from the power sums
+S_k = [k = 0] + sum_p p^(2k) 2 q^(p^2), each the kernel's one int dot
+product with the exact weights p^(2k) over the context's one Gaussian
+factor table, and kept with the context: S_0 is theta3, the moment of order
+2n is S_n / S_0, and the Hermite-weighted sum is sum_k V_k S_k / S_0, an
+exact int sum over the fixed-point coefficients V_k of H_2n(p/(sigma sqrt 2))
+in p^2.  The moment polynomials R_2j(m) and the powers and rounded weights
+of the Gaussian convolutions are kept too, per context or per precision.
 Every modulus verifier takes a ModulusContext and
 reaches the dual modulus through ``dual_context``; the kernel owns the
 modulus tokens and the context memo.  One table, ``IDENTITIES``, gives each
@@ -27,20 +28,22 @@ budgets series truncation plus accumulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exactalg import binomial
 from .cumulants import cumulant_lambert, cumulant_poly
 from .moments import bell_moments, d_sequence
 from .numkernel import (
     _Factors,
+    _bits,
     _div,
     _gaussian_factors,
-    _log2,
     _series_sum,
     _times,
+    _top,
     DEFAULT_DIGITS,
     LEMNISCATIC_TOKEN,
     DomainError,
@@ -75,8 +78,16 @@ __all__ = [
     "suite_tolerance",
 ]
 
+@functools.lru_cache(maxsize=16)
 def suite_tolerance(digits: int) -> HPFloat:
     return pow10(8 - digits, digits)
+
+
+@functools.lru_cache(maxsize=16)
+def _tolerance_text(tolerance: HPFloat, digits: int) -> str:
+    """A tolerance's decimal string, rendered once for all the reports that
+    share it (keyed on the digits too, since equal values compare equal)."""
+    return tolerance.to_decimal_string()
 
 
 class VerificationReport(NamedTuple):
@@ -106,7 +117,8 @@ class VerificationReport(NamedTuple):
             "lhs": None if self.lhs is None else self.lhs.to_decimal_string(),
             "rhs": None if self.rhs is None else self.rhs.to_decimal_string(),
             "residual": None if self.residual is None else self.residual.to_decimal_string(),
-            "tolerance": None if self.tolerance is None else self.tolerance.to_decimal_string(),
+            "tolerance": None if self.tolerance is None
+            else _tolerance_text(self.tolerance, self.tolerance.digits),
             "passed": self.passed,
             "error": self.error,
         }
@@ -137,24 +149,29 @@ def _report(identity: str, n: int | None, k_token: str, digits: int,
 # ---------------------------------------------------------------------------
 
 
-def _theta3(ctx: ModulusContext) -> HPFloat:
-    """theta3(q) = 1 + sum_p 2 q^(p^2), weight 1 and lead 1 over the
-    context's Gaussian table, summed once per context and kept with it."""
-    return ctx._once("theta3", lambda: HPFloat(
-        *_series_sum(_gaussian(ctx), lambda p: (1, 0), lead=1), ctx.digits))
-
-
 def _gaussian(ctx: ModulusContext) -> _Factors:
-    """The context's Gaussian factor table, shared by every weight and order."""
+    """The context's Gaussian factor table, shared by every power sum."""
     return ctx._once("gauss", lambda: _gaussian_factors(ctx.q))
 
 
-def _weighted_series(weight: Callable[[int], tuple[int, int]], ctx: ModulusContext,
-                     weight_bits: Callable[[int], int], lead: int) -> HPFloat:
-    """sum_p w(p) q^(p^2) / theta3(q) for an even weight, as
-    ``_series_sum`` takes it over the context's factors 2 q^(p^2), p >= 1,
-    with the exact int lead w(0), divided by the context's one theta3."""
-    total = _series_sum(_gaussian(ctx), weight, weight_bits, lead)
+def _power_sum(k: int, ctx: ModulusContext) -> tuple[int, int]:
+    """S_k = [k = 0] + sum_p p^(2k) 2 q^(p^2), p >= 1, as the exact pair of
+    ``_series_sum`` over the context's Gaussian table with the exact int
+    weights p^(2k) and the lead 1 for k = 0, summed once per order and
+    context and kept with it.  S_0 is theta3(q), S_k / S_0 the moment of
+    order 2k, and the Hermite sums combine them."""
+    return ctx._once(("power", k), lambda: _series_sum(
+        _gaussian(ctx), lambda count: [p ** (2 * k) for p in range(1, count + 1)],
+        lambda p: (p ** (2 * k)).bit_length(), int(k == 0)))
+
+
+def _theta3(ctx: ModulusContext) -> HPFloat:
+    """theta3(q) = 1 + sum_p 2 q^(p^2) = S_0, kept with the context."""
+    return ctx._once("theta3", lambda: HPFloat(*_power_sum(0, ctx), ctx.digits))
+
+
+def _over_theta3(total: tuple[int, int], ctx: ModulusContext) -> HPFloat:
+    """An exact series total divided by the context's one theta3."""
     theta3 = _theta3(ctx)
     # a quotient of two series keeps their precision, not the working one
     prec = max(abs(total[0]).bit_length(), abs(theta3.mantissa).bit_length())
@@ -163,12 +180,11 @@ def _weighted_series(weight: Callable[[int], tuple[int, int]], ctx: ModulusConte
 
 def series_moment(n: int, ctx: ModulusContext) -> HPFloat:
     """Moment of order 2n by direct summation of the weighted series
-    sum_p p^(2n) q^(p^2) normalized by theta3(q), summed once per order and
-    context and kept with the context.  The weight p^(2n) is an exact int."""
+    sum_p p^(2n) q^(p^2) normalized by theta3(q): the power sum S_n over
+    S_0, divided once per order and context and kept with the context."""
     if n < 0:
         raise DomainError("moment index must be >= 0")
-    return ctx._once(("moment", n), lambda: _weighted_series(
-        lambda p: (p ** (2 * n), 0), ctx, lambda p: (p ** (2 * n)).bit_length(), int(n == 0)))
+    return ctx._once(("moment", n), lambda: _over_theta3(_power_sum(n, ctx), ctx))
 
 
 def _hermite_coefficients(order: int) -> list[int]:
@@ -206,41 +222,25 @@ def hermite_weighted_series(n: int, ctx: ModulusContext) -> HPFloat:
     Gaussian-type decay of q^(p^2).
 
     At x = p u with u = 1/(sigma sqrt 2), H_{2n}(x) = sum_k c_k u^(2k) p^(2k)
-    with the ints c_k of ``_hermite_coefficients``.  ``_hermite_scaled``
-    forms V_k = c_k u^(2k) 2^(s+g) once, with g guard bits, and a weight is
-    (sum_k V_k p^(2k), s + g), a Horner sum with small int multipliers.
-    |H|(x) = sum_k |c_k| x^(2k) obeys the recurrence of H_m with a plus
-    sign, so by induction |H_m(x)| <= |H|(x) <= B^m with B = 2|x| + m
-    (m >= 1).  In units of 2^(-s) a weight's error is below B^m from the
-    powers of u and below 2^(-g) sum_k p^(2k) <= B^m from the V_k (g covers
-    log2(n + 1) and, for u < 1, m log2(1/u)): in all below m (2p + 1) B^m,
-    the weight bound.  s is the loop's scale above its first factor plus
-    that bound at the loop's index bound, so a weight's error times its
-    factor stays below one unit of the scale.  At p = 0 the weight is the
-    exact int lead c_0.  Near k = 0, u is large (sigma^2 is about 2q) and
-    H_{2n} reaches about q^(-n), which the bound follows."""
-    order = 2 * n
-    u = (1 / (2 * ctx.sigma2).sqrt()).value
-    log2_u = _log2(u)
-
-    def weight_bits(p):
-        # log2 B <= 1 + max(log2(2 p u), log2 m)
-        log2_b = 1 + max(1 + p.bit_length() + log2_u, order.bit_length())
-        return math.ceil(order * log2_b) + (order * (2 * p + 1)).bit_length()
-
-    factors = _gaussian(ctx)
-    last = factors.reach(weight_bits)
-    scale = factors.prec + last.bit_length() + weight_bits(last)
-    scale += max(0, math.ceil(-order * log2_u)) + (n + 1).bit_length()
-    scaled = _hermite_scaled(n, u, scale)[::-1]
-
-    def weight(p):
-        p2, total = p * p, 0
-        for v in scaled:
-            total = total * p2 + v
-        return total, scale
-
-    return _weighted_series(weight, ctx, weight_bits, _hermite_coefficients(order)[0])
+    with the ints c_k of ``_hermite_coefficients``, so over the lattice the
+    sum is sum_k c_k u^(2k) S_k, S_k the context's power sums (``_power_sum``,
+    with the p = 0 term c_0 through the lead of S_0).  ``_hermite_scaled``
+    forms V_k = c_k u^(2k) 2^s once, each truncated to a unit and with its
+    power of u to a relative 2^(-s), and sum_k V_k S_k is one exact int sum.
+    With s = prec + log2 max_k S_k + log2(n + 1), the truncations of the V_k
+    add less than 2^(-prec) in all, against |c_0| >= 1 in the absolute sum,
+    and the powers of u less than 2^(-prec) relative to
+    sum_k |c_k| u^(2k) S_k, the size at which the errors of the S_k
+    themselves enter.  Near k = 0, u is large (sigma^2 is about 2q) and
+    H_{2n} reaches about q^(-n); near k = 1, u is small and S_k about
+    u^(-2k): both scale with the S_k, so neither loses bits."""
+    u = ctx._once("1/sqrt(2sigma2)", lambda: (1 / (2 * ctx.sigma2).sqrt()).value)
+    sums = [_power_sum(k, ctx) for k in range(n + 1)]
+    low = min(exp for _, exp in sums)
+    scale = _bits(ctx.digits) + max(_top(s) for s in sums) + (n + 1).bit_length()
+    total = sum(v * (man << (exp - low))
+                for v, (man, exp) in zip(_hermite_scaled(n, u, scale), sums))
+    return _over_theta3((total, low - scale), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +253,12 @@ def _moment_poly_value(j: int, ctx: ModulusContext) -> HPFloat:
     return ctx._once(("R", j), lambda: bell_moments(j)[j].R.evaluate(ctx.m))
 
 
-def _convolution_coeff(n: int, j: int) -> Fraction:
+@functools.lru_cache(maxsize=256)
+def _convolution_weight(n: int, j: int, digits: int) -> HPFloat:
     """C(2n, 2j) (2n-2j)!/(n-j)!, the weight of mu_{2j} in the Gaussian
-    convolution of order 2n."""
-    return binomial(2 * n, 2 * j) * Fraction(math.factorial(2 * n - 2 * j), math.factorial(n - j))
+    convolution of order 2n, rounded once per precision."""
+    return hpf(binomial(2 * n, 2 * j) * Fraction(math.factorial(2 * n - 2 * j),
+                                                 math.factorial(n - j)), digits)
 
 
 def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> VerificationReport:
@@ -266,7 +268,7 @@ def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
         raise DomainError("index must be >= 0")
     lhs = hermite_weighted_series(n, ctx)
     r_val = _moment_poly_value(n, ctx) if n else hpf(1, ctx.digits)
-    ratio = (ctx.z * ctx.z) / (2 * ctx.sigma2)
+    ratio = ctx._once("z2/2sigma2", lambda: (ctx.z * ctx.z) / (2 * ctx.sigma2))
     rhs = ratio ** n * r_val if n else hpf(1, ctx.digits)
     return _report("theorem1", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
@@ -280,14 +282,12 @@ def verify_theorem3(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     """
     if n < 0:
         raise DomainError("index must be >= 0")
-    digits = ctx.digits
-    half_z = ctx.z / 2
-    half_s = ctx.sigma2 / 2
-    lhs = hpf(0, digits)
+    lhs = hpf(0, ctx.digits)
     for j in range(n + 1):
-        coeff = _convolution_coeff(n, j)
-        term = half_z ** (2 * j) * _moment_poly_value(j, ctx) * half_s ** (n - j) * coeff
-        lhs = lhs + term
+        graded = ctx._once(("graded", j),
+                           lambda: (ctx.z / 2) ** (2 * j) * _moment_poly_value(j, ctx))
+        half_s = ctx._once(("half_s", n - j), lambda: (ctx.sigma2 / 2) ** (n - j))
+        lhs = lhs + graded * half_s * _convolution_weight(n, j, ctx.digits)
     rhs = series_moment(n, ctx)
     return _report("theorem3", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
@@ -370,16 +370,15 @@ def verify_dual_moment_relation(n: int, ctx: ModulusContext, k_token: str = "") 
         raise DomainError("index must be >= 0")
     dual = dual_context(ctx)
     lhs = series_moment(n, dual)
-    delta2 = dual.sigma2 + ctx.c * ctx.c * ctx.sigma2
     rhs = hpf(0, ctx.digits)
     for j in range(n + 1):
-        coeff = _convolution_coeff(n, j)
-        sign = 1 if j % 2 == 0 else -1
+        weight = _convolution_weight(n, j, ctx.digits)
         term = (
-            (ctx.c ** (2 * j))
-            * (delta2 / 2) ** (n - j)
+            ctx._once(("c", 2 * j), lambda: ctx.c ** (2 * j))
+            * ctx._once(("half_delta2", n - j),
+                        lambda: ((dual.sigma2 + ctx.c * ctx.c * ctx.sigma2) / 2) ** (n - j))
             * series_moment(j, ctx)
-            * (coeff * sign)
+            * (weight if j % 2 == 0 else -weight)
         )
         rhs = rhs + term
     return _report("dual_moment_relation", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)

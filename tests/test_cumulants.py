@@ -5,8 +5,9 @@ Lambert series against its hyperbolic-sine form."""
 import pytest
 from mpmath import mp
 
-from thetakit import numkernel
+from thetakit import cumulants, numkernel
 from thetakit.cumulants import (
+    _lambert_weights,
     CumulantPoly,
     cumulant_eisenstein,
     cumulant_lambert,
@@ -223,21 +224,40 @@ class TestLambertTableOrder:
         ctx = make_context(k, digits)
         downward = self._sums(ctx, reversed(orders))[::-1]
         for n in orders:  # keep the tables, but sum every moment again
-            del ctx._series[("moment", n)]
+            del ctx._series[("moment", n)], ctx._series[("power", n)]
         warm = self._sums(ctx, orders)
         assert upward == downward == warm
 
 
+class TestLambertWeights:
+    """The weights of kappa_{2n} = 2 sum_N a_N q^N come from a sieve over odd
+    divisors and the powers of two in N; against the divisor sum that
+    defines them, a_N = sum_{r | N, N/r odd} (-1)^(r-1) r^(2n-1)."""
+
+    def test_against_divisor_sums(self, monkeypatch):
+        monkeypatch.setattr(cumulants, "_LAMBERT_WEIGHTS", {})  # grow from empty
+        divisors = [[r for r in range(1, N + 1) if N % r == 0] for N in range(1, 801)]
+        for n in range(1, 10):
+            power = 2 * n - 1
+            # grown in steps, as tables of several contexts ask for them
+            for count in (1, 2, 37, 300, 301, 800):
+                weights = _lambert_weights(power, count)
+                assert len(weights) > count
+            for N, rs in enumerate(divisors, start=1):
+                expected = sum((-1) ** (r - 1) * r ** power for r in rs if (N // r) % 2)
+                assert weights[N] == expected, (n, N)
+
+
 class TestNoTranscendentalPerTerm:
     """The series loops step their powers of q by running products: no term
-    evaluates exp, log, sin or cos, nor raises a number to a power.  The
-    Lambert factors are filled once per context, so a repeated order grows
-    no table entry and divides nothing; so are the Gaussian factors of the
-    moment sums."""
+    evaluates exp, log, sin or cos, nor raises a number to a power, nor
+    divides.  The Lambert table of powers of q is filled once per context,
+    so a repeated order grows no table entry; so are the Gaussian factors of
+    the moment sums."""
 
     def test_lambert_and_theta_loops(self, monkeypatch):
         # a cold context, built before the patch (contexts do use exp), so
-        # that its Lambert table is filled under the patch
+        # that its table of powers is filled under the patch
         numkernel._build_context.cache_clear()
         ctx = make_context("0.9", 500)
 
@@ -255,17 +275,17 @@ class TestNoTranscendentalPerTerm:
             numkernel, "_div", lambda a, b, prec: divisions.append(b) or rounded_div(a, b, prec)
         )
         cold = cumulant_lambert(8, ctx)
-        table = ctx._series["lambert"].values
-        filled, divided = len(table), len(divisions)
+        table = ctx._series["powers"].values
+        filled = len(table)
         warm = cumulant_lambert(8, ctx)
-        assert filled > 0, "the factor table was not filled under the patch"
+        assert filled > 1, "the table of powers was not filled under the patch"
         assert len(table) == filled, "a repeated order grew the table"
-        assert len(divisions) == divided, "a repeated order divided"
+        assert not divisions, "the Lambert sum divided"
         assert warm.value == cold.value
         moment = series_moment(8, ctx)
         gauss = ctx._series["gauss"].values
         filled = len(gauss)
-        del ctx._series[("moment", 8)]
+        del ctx._series[("moment", 8)], ctx._series[("power", 8)]  # sum the warm table again
         assert series_moment(8, ctx).value == moment.value
         assert len(gauss) == filled, "a repeated moment grew the Gaussian table"
         theta0(3, ctx.q)

@@ -8,7 +8,9 @@ moduli from 1e-30 to 1 - 1e-20, and a guard counts the mpf operations each
 loop makes, which must not grow with the number of terms.
 """
 
+import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from thetakit import numkernel
-from thetakit.cumulants import cumulant_lambert
-from thetakit.numkernel import DomainError, make_context, theta0
+from thetakit.cumulants import _power_factors, cumulant_lambert
+from thetakit.numkernel import DomainError, _gaussian_factors, _series_sum, hpf, make_context, theta0
 from thetakit.verify import hermite_weighted_series, series_moment
 
 from lambert_oracle import lambert_sinh
@@ -113,6 +115,38 @@ class TestAccuracySweep:
         assert _lambert_errors(ctx, [n])[0] <= bound
         for series, order, err in _lattice_errors(ctx, [n]):
             assert err <= bound, (series, order, err)
+
+
+class TestDotProductAgainstExactSum:
+    """``_series_sum`` is one int dot product of the weights with the table's
+    factors, each truncated once onto a scale widened by the weight bound.
+    It must agree with the exact rational sum of the same weights times the
+    same table entries within its stated bound, 2^(top - prec) with
+    f_1 < 2^top, for any nome, sign pattern, weight size and precision."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(numerator=st.integers(1, 900), tiny=st.integers(0, 30), table=st.sampled_from(
+               (_power_factors, _gaussian_factors, lambda q: _gaussian_factors(q, True))),
+           digits=st.integers(15, 600), bound=st.integers(0, 128), point=st.integers(0, 64),
+           lead=st.integers(-3, 3), seed=st.integers(0, 2 ** 32))
+    def test_within_stated_bound(self, numerator, tiny, table, digits, bound, point, lead, seed):
+        q = hpf(Fraction(numerator, 1000 * 10 ** tiny), digits)
+        factors = table(q)
+        draw, weights = random.Random(seed), []
+
+        def weight_ints(count):
+            # |w| = |W| 2^(-point) < 2^bound, of any sign
+            limit = 1 << (bound + point)
+            weights.extend(draw.randrange(-limit + 1, limit) for _ in range(count - len(weights)))
+            return weights
+
+        man, exp = _series_sum(factors, weight_ints, lambda n: bound, lead, point)
+        count = len(weights)
+        exact = lead + sum(Fraction(w * f_man) * Fraction(2) ** (f_exp - point)
+                           for w, (f_man, f_exp) in zip(weights, factors.values[:count]))
+        first_man, first_exp = factors.values[0]
+        top = first_exp + first_man.bit_length()
+        assert abs(Fraction(man) * Fraction(2) ** exp - exact) < Fraction(2) ** (top - factors.prec)
 
 
 class TestMpfOperationsPerCall:

@@ -7,7 +7,7 @@ from itertools import groupby
 import pytest
 from mpmath import mp
 
-from thetakit import numkernel, verify
+from thetakit import cumulants, numkernel, verify
 from thetakit.exactalg import UniPoly
 from thetakit.numkernel import (
     DomainError,
@@ -275,22 +275,29 @@ class TestSuiteRunner:
         assert len(calls) == 2 * 5
 
     def test_suite_sums_theta3_once_per_context(self, monkeypatch):
-        # count Gaussian table builds; verify imports the builder by name
-        builds = []
-        build = numkernel._gaussian_factors
+        # count table builds; verify imports the Gaussian builder by name
+        gauss, powers = [], []
+        build_gauss, build_powers = numkernel._gaussian_factors, cumulants._power_factors
 
         def counted(q, half=False):
-            builds.append(q)
-            return build(q, half)
+            gauss.append(q)
+            return build_gauss(q, half)
 
         monkeypatch.setattr(numkernel, "_gaussian_factors", counted)
         monkeypatch.setattr(verify, "_gaussian_factors", counted)
+        monkeypatch.setattr(cumulants, "_power_factors",
+                            lambda q: powers.append(q) or build_powers(q))
         numkernel._build_context.cache_clear()
         run_suite(default_grid(8), digits=30)
         # one table for each of 0.3, 1/sqrt2 and 0.9, which theta3 and every
-        # moment and Hermite sum share (the duals sum no series), and a
-        # throwaway one for each side of the four jacobi_transform cells
-        assert len(builds) == 3 + 2 * 4
+        # power sum share (the duals sum no series), and a throwaway one for
+        # each side of the four jacobi_transform cells
+        assert len(gauss) == 3 + 2 * 4
+        # one table of powers of q for each of them, shared by every Lambert order
+        assert len(powers) == 3
+        for k in DEFAULT_KS:
+            kept = make_context(k, 30)._series
+            assert {"gauss", "powers", *(("power", n) for n in range(9))} <= kept.keys()
 
     def test_romik_omega_once_per_precision(self, monkeypatch):
         # Omega = Gamma(1/4)^8 / (32 pi^4) depends on the digits alone, so the
