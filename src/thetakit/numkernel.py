@@ -445,8 +445,14 @@ def _leading_digits(man: int, exp: int, dps: int) -> tuple[str, int]:
         man, exp = man >> drop, drop - shift
     fixprec = max(bitprec - exp - man.bit_length(), 0)
     fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    digits = _numeral(_fixed((man, exp), fixprec) * 10 ** fixdps >> fixprec)
+    digits = _numeral(_fixed((man, exp), fixprec) * _ten_to(fixdps) >> fixprec)
     return digits, exponent + len(digits) - fixdps - 1
+
+
+@functools.lru_cache(maxsize=64)
+def _ten_to(n: int) -> int:
+    """10^n: the renderings of one report share a few dozen scales."""
+    return 10 ** n
 
 
 def _numeral(n: int) -> str:

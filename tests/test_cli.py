@@ -5,14 +5,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
+import thetakit.cli
 from thetakit.cli import main
 from thetakit.numkernel import hpf, parse_modulus
 
@@ -500,3 +503,87 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert proc.stdout == "False\n"
+
+
+def run_fresh(*argv, unbuffered="1", **kwargs):
+    """Invoke the CLI as ``python -m thetakit.cli`` in a fresh process, with
+    PYTHONUNBUFFERED set to unbuffered ("" leaves stdout block-buffered)."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    return subprocess.run(
+        [sys.executable, "-m", "thetakit.cli", *argv], env=env, timeout=60, **kwargs
+    )
+
+
+class TestProcessExit:
+    """A fresh process ends through ``run``: output flushed, then os._exit."""
+
+    # block-buffered stdout is the case a missing flush would lose
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_stdout_matches_in_process(self, fmt, unbuffered, capsys):
+        argv = ("conjecture", "--p", "5", "--count", "12", "--format", fmt)
+        code, out, _ = run_cli(*argv, capsys=capsys)
+        proc = run_fresh(*argv, unbuffered=unbuffered, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode("utf-8"), b"")
+
+    def test_out_file_is_complete(self, tmp_path, capsys):
+        argv = ("sequences", "d", "--count", "90", "--format", "json")
+        _, out, _ = run_cli(*argv, capsys=capsys)
+        target = tmp_path / "d.json"
+        proc = run_fresh(*argv, "--out", str(target), unbuffered="", capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("sequences", "d", "--count", "3"), 0),
+            (("verify", "all", "--k", "1e-400"), 1),
+            (("verify", "all", "--digits", "3"), 2),
+        ],
+    )
+    def test_exit_codes(self, argv, code):
+        assert run_fresh(*argv, capture_output=True).returncode == code
+
+    def test_skips_interpreter_teardown(self):
+        # an atexit handler runs at a normal exit, never after os._exit
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv = ['thetakit', 'sequences', 'd', '--count', '2']\n"
+            "runpy.run_module('thetakit.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "d(1) = 1\nd(2) = -1\n", "")
+
+    # 1 term waits in a block buffer for the flush; 90 terms (12 kB) fail in the write
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("count", ["1", "90"])
+    def test_closed_stdout_pipe(self, count, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_fresh(
+                "sequences", "d", "--count", count, "--format", "json",
+                unbuffered=unbuffered, stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_console_script_names_the_exit(self):
+        tomllib = pytest.importorskip("tomllib")
+        with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["thetakit"]
+        module, _, name = target.partition(":")
+        assert module == "thetakit.cli"
+        assert getattr(thetakit.cli, name) is thetakit.cli.run
+
+    def test_cli_import_leaves_csv_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, thetakit.cli; print('csv' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
