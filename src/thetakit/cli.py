@@ -314,7 +314,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_reconcile(args) -> int:
     if not 1 <= args.nmax <= 4:
-        return _fail_usage("--nmax must be between 1 and 4 (exhaustive S_{2n} enumeration)")
+        return _fail_usage("--nmax must be between 1 and 4")
     report = reconcile_thm11(args.nmax)
     lines = [f"cycle-peak formula reconciliation, orders 1..{report.max_n}:"]
     for n, row in report.data_rows.items():

@@ -32,12 +32,10 @@ __all__ = [
     "reconcile_thm11",
 ]
 
-MAX_ENUM = 10  # the largest n of count_profiles, the range it once enumerated
-
-
 def cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
     """Count cycle peaks of a permutation given in one-line notation
-    (perm[i-1] = image of i), split by parity of the peak value.
+    (perm[i-1] = image of i), split by parity of the peak value: the image
+    c of i is a peak when i < c and the image of c is below c.
 
     Returns (odd_count, even_count).
 
@@ -50,12 +48,6 @@ def cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
     """
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError("not a permutation of 1..n in one-line notation")
-    return _cycle_peaks(perm)
-
-
-def _cycle_peaks(perm: Sequence[int]) -> tuple[int, int]:
-    """``cycle_peaks`` of a sequence known to be a permutation of 1..n: the
-    image c of i is a peak when i < c and the image of c is below c."""
     odd = even = 0
     for i, c in enumerate(perm, start=1):
         if c > i and perm[c - 1] < c:
@@ -102,8 +94,6 @@ def count_profiles(n: int) -> CyclePeakProfile:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > MAX_ENUM:
-        raise ValueError(f"count_profiles takes n <= {MAX_ENUM}")
     counts = {(0, 0): 1}
     for v in range(2, n + 1):  # 1 can only be a fixed point
         grown: dict[tuple[int, int], int] = {}

@@ -211,13 +211,16 @@ def cumulant_eisenstein(n: int, ctx: ModulusContext, lattice_cutoff: int) -> Eis
 
     The lattice is summed in Python complex floats; its roundoff is still
     far below the truncation tail O(cutoff^(2-2n)), which is what the
-    returned tail field estimates.
+    returned tail field estimates.  A float sum holds no more than float
+    precision, whatever ctx.digits is, so value and tail are labelled at
+    HPFloat's floor of 15 digits.
     """
     if n < 2:
         raise DomainError("lattice-sum cumulants require n >= 2")
     if lattice_cutoff < 1:
         raise DomainError("lattice cutoff must be >= 1")
-    digits, c = ctx.digits, ctx.c
+    digits = 15
+    c = hpf(ctx.c, digits)
     odd = range(1, 2 * lattice_cutoff, 2)
     column = [1j * float(c) * b for b in odd]
     total = sum(sum([(a + w) ** (-2 * n) for w in column]).real for a in odd)

@@ -118,17 +118,18 @@ def _point_cumulants(m: Fraction, count: int) -> list[int]:
     return [-a * (b - a) * x for x in w]
 
 
-def _point_moments(m: Fraction, N: int) -> list[Fraction]:
-    """R_{2n}(m) for n = 0..N.
+def _point_kappa(m: Fraction, top: int) -> list[int]:
+    """b^n kappa_{2n}(m) = (-1)^(n-1) b^n P_{2n-2}(m) for n = 0..top, the
+    graded cumulants; those of n = 0 and n = 1 read 0, as P_0 = 0 and the
+    variance is outside the exact grade.  At m = 1/2 they are the Q_{2n}."""
+    return [0] + [(-1) ** n * x for n, x in enumerate(_point_cumulants(m, max(top, 1)))]
 
-    The graded cumulants kappa_{2n} = (-1)^(n-1) P_{2n-2}(m), n >= 2 (the
-    variance is outside the exact grade), go through the even-order Bell
-    recursion on b^n times each value.
-    """
+
+def _point_moments(m: Fraction, N: int) -> list[Fraction]:
+    """R_{2n}(m) for n = 0..N: the even-order Bell recursion on b^n times
+    each graded cumulant and moment."""
     b = m.denominator
-    scaled_p = _point_cumulants(m, max(N, 1))
-    kappa = [0, 0] + [(-1) ** (n - 1) * scaled_p[n - 1] for n in range(2, N + 1)]
-    return [Fraction(x, b ** n) for n, x in enumerate(_bell_even(kappa, [1], N))]
+    return [Fraction(x, b ** n) for n, x in enumerate(_bell_even(_point_kappa(m, N), [1], N))]
 
 
 def d_sequence(N: int) -> list[int]:
@@ -279,10 +280,6 @@ def _denominator_factors(denominator: int, p: int) -> dict[int, int]:
 
 def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
     """Scaled integrality rows for m = 1..N at modulus 1/sqrt(p)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if N < 0:
-        raise ValueError("N must be >= 0")
     values = dk_sequence(p, N)
     alpha_fn = _ALPHA.get(p)
     rows: list[ConjectureRow] = []
@@ -305,28 +302,20 @@ def conjecture_check(p: int, N: int) -> list[ConjectureRow]:
     return rows
 
 
-def _q_values(top: int) -> list[int]:
-    """Q_{2n} for n = 0..top from one point table at m = 1/2, where the
-    scaled value 2^n P_{2n-2}(1/2) is already the integer (-1)^(n-1) Q_{2n}
-    (Q_0 and Q_2 read 0: neither is in the exact grade)."""
-    scaled_p = _point_cumulants(Fraction(1, 2), top)
-    return [0] + [(-1) ** (n - 1) * scaled_p[n - 1] for n in range(1, top + 1)]
-
-
 def q_value(n: int) -> int:
     """Q_{2n}, the cumulant coefficient in the self-dual grading
     kappa_{2n} = (z/(2 sqrt 2))^(2n) Q_{2n}; equals (-1)^(n-1) 2^n P_{2n-2}(1/2),
     by the point route at m = 1/2 (p_poly is its oracle in the tests)."""
     if n < 2:
         raise ValueError("Q is defined for order >= 4")
-    return _q_values(n)[n]
+    return _point_kappa(Fraction(1, 2), n)[n]
 
 
 def q_sequence(N: int) -> list[int]:
     """Q_{2n} for 2n = 4, 6, ..., 4N; asserts the 4l+2 entries vanish."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    q = _q_values(2 * N)
+    q = _point_kappa(Fraction(1, 2), 2 * N)
     for n in range(3, 2 * N + 1, 2):
         if q[n] != 0:
             raise ConsistencyError(f"Q_{2 * n} = {q[n]}, expected 0 at order 4l+2")
@@ -356,19 +345,12 @@ def q_from_a(N: int) -> list[int]:
 def kappa_recurrence_check(N: int) -> bool:
     """Exact check of the self-dual quadratic cumulant recurrence
     kappa_{4n} = -6 sum_{j=0}^{n-2} C(4n-4, 4j+2) kappa_{4j+4} kappa_{4n-4j-4}
-    for 2 <= n <= N, on the integers Q_{4n} of one point table (the common
-    factor (z/(2 sqrt 2))^(4n) cancels)."""
+    for n <= N: whether Q_4..Q_{4N} of the point route equal ``q_from_a(N)``.
+    With kappa_{4n} ~ Q_{4n} = 2 (-12)^(n-1) A_{n-1}, the recurrence is that
+    of ``a_sequence``."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    q = _q_values(2 * N)
-    for n in range(2, N + 1):
-        rhs = sum(
-            binomial(4 * n - 4, 4 * j + 2) * q[2 * j + 2] * q[2 * n - 2 * j - 2]
-            for j in range(n - 1)
-        )
-        if q[2 * n] != -6 * rhs:
-            return False
-    return True
+    return _point_kappa(Fraction(1, 2), 2 * N)[2::2] == q_from_a(N)
 
 
 def moments_from_cumulants(N: int, ctx: ModulusContext | None = None) -> list:

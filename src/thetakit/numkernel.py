@@ -22,9 +22,10 @@ correctly rounded unless the true value lies within about 2^(-60) ulp of a
 tie.  ``to_decimal_string`` rounds half up on the first digits + 3 decimal
 digits, truncated.  There is no other arithmetic path.
 
-One AGM loop, ``_agm_pass``, gives each modulus K and E from one pass: K and
+One AGM function, ``_agm``, gives each modulus K and E from one pass: K and
 ``agm`` take its mean at 10^(1-digits), a looser rule than E's 10^(-digits-5)
-that an exact modulus (ROADMAP direction 1) retires.
+that an exact modulus (ROADMAP direction 1) retires.  Gamma(1/4) comes from
+the lemniscatic context's K, so it runs no AGM of its own.
 
 Every series in the nome (theta, the Lambert cumulants of ``cumulants``,
 the power sums behind the moment and Hermite sums of ``verify``) is one int
@@ -656,49 +657,49 @@ def parse_modulus(token: Scalar, digits: int) -> HPFloat:
 # ---------------------------------------------------------------------------
 
 
-def _agm_pass(a, b, c, digits: int):
+def _agm(a, b, c, digits: int):
     """The AGM from (a, b) at prec = _bits(digits), carrying E's companion sum
-    s = sum_j 2^(j-1) c_j^2, c_0 = c, c_{j+1} = (a_j - b_j)/2.  Yields a_j once
-    |a_j - b_j| < 10^(1-digits)*a_j, then (a_j, s) once c_j and |a_j - b_j|/a_j
-    are below 10^(-digits-5): absolute in c_j, so only for a_j <= 1."""
+    s = sum_j 2^(j-1) c_j^2, c_0 = c, c_{j+1} = (a_j - b_j)/2.  Returns
+    (K's mean, E's mean, s): K's mean is the first a_j with
+    |a_j - b_j| < 10^(1-digits) a_j; the pass ends, with E's mean and s,
+    once |a_j - b_j|/a_j and c_j/max(1, a_j) are below 10^(-digits-5).  For
+    a_j <= 1, as in every complete integral, c_j's rule is absolute."""
     prec = _bits(digits)
     eps_k, eps_e = _pow((5, 1), 1 - digits, prec), _pow((5, 1), -digits - 5, prec)
-    csum, weight, before_k = (0, 0), (1, -1), True
+    csum, weight, mean_k = (0, 0), (1, -1), None
     while True:
         diff = _sub(a, b, prec)
         gap = (abs(diff[0]), diff[1])
-        if before_k and _cmp(gap, _mul(eps_k, a, prec)) < 0:
-            before_k = False
-            yield a
+        if mean_k is None and _cmp(gap, _mul(eps_k, a, prec)) < 0:
+            mean_k = a
         csum = _add(csum, _mul(_mul(weight, c, prec), c, prec), prec)
-        if _cmp(c, eps_e) < 0 and _cmp(gap, _mul(eps_e, a, prec)) < 0:
-            yield a, csum
-            return
+        scale = a if _top(a) > 0 else (1, 0)  # max(1, a_j): a_j >= 1 when _top(a_j) > 0
+        if _cmp(c, _mul(eps_e, scale, prec)) < 0 and _cmp(gap, _mul(eps_e, a, prec)) < 0:
+            return mean_k, a, csum
         total = _add(a, b, prec)
         a, b = (total[0], total[1] - 1), _sqrt(_mul(a, b, prec), prec)
         c, weight = (diff[0], diff[1] - 1) if diff[0] else diff, (1, weight[1] + 1)
 
 
 def agm(a: Scalar, b: Scalar, digits: int) -> HPFloat:
-    """Arithmetic-geometric mean, iterated until |a_n - b_n| < 10^(1-digits)*a_n."""
+    """Arithmetic-geometric mean: a_n at the first n with |a_n - b_n| < 10^(1-digits)*a_n."""
     a_h, b_h = hpf(a, digits), hpf(b, digits)
     if a_h.mantissa <= 0 or b_h.mantissa <= 0:
         raise DomainError("agm requires positive inputs")
     prec = _bits(digits)
-    return HPFloat(*next(_agm_pass(_round(*a_h.value, prec),
-                                   _round(*b_h.value, prec), (0, 0), digits)), digits)
+    mean_k = _agm(_round(*a_h.value, prec), _round(*b_h.value, prec), (0, 0), digits)[0]
+    return HPFloat(*mean_k, digits)
 
 
 def _complete(k: HPFloat) -> tuple[HPFloat, HPFloat, HPFloat, HPFloat]:
     """m = k^2, k' = sqrt(1 - m), and K = pi/(2a) at agm's rule and
-    E = (pi/(2a))(1 - s) at E's rule from one ``_agm_pass`` from (1, k')."""
+    E = (pi/(2a))(1 - s) at E's rule from one ``_agm`` pass from (1, k')."""
     if not 0 < k < 1:
         raise DomainError("elliptic modulus must satisfy 0 < k < 1")
     m = k * k
     kprime = (1 - m).sqrt()
     digits, prec = k.digits, _bits(k.digits)
-    mean_k, (mean_e, csum) = _agm_pass((1, 0), kprime.value,
-                                       _round(*k.value, prec), digits)
+    mean_k, mean_e, csum = _agm((1, 0), kprime.value, _round(*k.value, prec), digits)
     pi_ = _pi(prec)
     big_k = HPFloat(*_div(pi_, (mean_k[0], mean_k[1] + 1), prec), digits)
     big_e = _mul(_div(pi_, (mean_e[0], mean_e[1] + 1), prec), _sub((1, 0), csum, prec), prec)
@@ -875,19 +876,6 @@ def theta0(i: int, q: HPFloat) -> HPFloat:
 
 
 # ---------------------------------------------------------------------------
-# The lemniscatic gamma constant
-# ---------------------------------------------------------------------------
-
-
-def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
-    """Gamma(1/4) obtained from the lemniscatic AGM only:
-    K(1/sqrt2) = pi/(2*agm(1, 1/sqrt2)) and Gamma(1/4) = sqrt(4*sqrt(pi)*K)."""
-    pi_h = pi(digits)
-    bigk = pi_h / (2 * agm(1, parse_modulus(LEMNISCATIC_TOKEN, digits), digits))
-    return (4 * pi_h.sqrt() * bigk).sqrt()
-
-
-# ---------------------------------------------------------------------------
 # Per-modulus context
 # ---------------------------------------------------------------------------
 
@@ -958,3 +946,9 @@ def dual_context(ctx: ModulusContext) -> ModulusContext:
 def lemniscatic_context(digits: int = DEFAULT_DIGITS) -> ModulusContext:
     """Context at the self-dual modulus k = 1/sqrt2 (where K = K', q = e^-pi)."""
     return make_context(LEMNISCATIC_TOKEN, digits)
+
+
+def gamma_quarter(digits: int = DEFAULT_DIGITS) -> HPFloat:
+    """Gamma(1/4) = sqrt(4 sqrt(pi) K) from the lemniscatic context's K, so it
+    adds no AGM pass to a run that holds that context."""
+    return (4 * pi(digits).sqrt() * lemniscatic_context(digits).K).sqrt()

@@ -72,9 +72,9 @@ class TestCountProfiles:
         assert prof.row(1, swapped=False) == {0: 44, 1: 328, 2: 44}
         assert prof.row(1, swapped=True) == {0: 135, 1: 328, 2: 16}
 
-    def test_budget(self):
-        with pytest.raises(ValueError):
-            count_profiles(11)
+    def test_counts_past_the_old_bound(self):
+        # the recurrence has no size bound
+        assert count_profiles(16).total() == math.factorial(16)
 
     @pytest.mark.parametrize("n", range(9))
     def test_matches_validated_cycle_peaks(self, n):

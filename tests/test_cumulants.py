@@ -48,6 +48,11 @@ class TestPPoly:
         # P_{2n}(1-m) = (-1)^(n-1) P_{2n}(m)
         assert symmetry_check_P(n)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_self_duality_check_sees_a_wrong_polynomial(self, monkeypatch, n):
+        monkeypatch.setattr(cumulants, "p_poly", lambda i, exact=p_poly: exact(i) + UniPoly.variable())
+        assert not symmetry_check_P(n)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             p_poly(-1)
@@ -129,6 +134,11 @@ class TestLatticeRoute:
         approx = cumulant_eisenstein(3, ctx, 500)
         exact = cumulant_lambert(3, ctx)
         assert float(abs(approx.value - exact)) < 1e-8
+
+    def test_labelled_at_float_precision(self):
+        # the lattice is summed in floats, so a 30-digit context gives no more
+        approx = cumulant_eisenstein(3, lemniscatic_context(30), 100)
+        assert approx.value.digits == approx.tail.digits == 15
 
     def test_tail_is_positive_and_shrinks(self):
         ctx = lemniscatic_context(30)

@@ -140,6 +140,24 @@ class TestQSequence:
     def test_recurrence_check(self):
         assert kappa_recurrence_check(8)
 
+    def test_recurrence_check_sees_a_wrong_a_route(self, monkeypatch):
+        def perturbed(N, original=moments.q_from_a):
+            q = original(N)
+            q[3] += 1  # Q_16
+            return q
+
+        monkeypatch.setattr(moments, "q_from_a", perturbed)
+        assert not kappa_recurrence_check(8)
+
+    def test_recurrence_check_sees_a_wrong_point_cumulant(self, monkeypatch):
+        def perturbed(m, count, original=moments._point_cumulants):
+            scaled = original(m, count)
+            scaled[5] += 1  # 2^6 P_10(1/2), so Q_12
+            return scaled
+
+        monkeypatch.setattr(moments, "_point_cumulants", perturbed)
+        assert not kappa_recurrence_check(8)
+
 
 def _point_p_values(m: Fraction, count: int) -> list[Fraction]:
     """P_{2p}(m) for p = 0..count-1 from the point route's scaled integers."""

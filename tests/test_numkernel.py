@@ -21,6 +21,7 @@ from thetakit.numkernel import (
     DEFAULT_DIGITS,
     DomainError,
     HPFloat,
+    LEMNISCATIC_TOKEN,
     ModulusContext,
     agm,
     dual_context,
@@ -30,6 +31,7 @@ from thetakit.numkernel import (
     hpf,
     lemniscatic_context,
     make_context,
+    parse_modulus,
     pi,
     pow10,
     theta,
@@ -162,10 +164,13 @@ class TestAgmAndElliptic:
         assert float(abs(a - b)) < 1e-37
         assert float(abs(agm(6, 14, 40) - a * 2)) < 1e-36
 
-    @pytest.mark.parametrize("a, b", [(10**30, 2 * 10**30), (1, 10**40), (10**6, 1)])
+    @pytest.mark.parametrize("a, b", [(10**30, 2 * 10**30), (1, 10**40), (10**6, 1),
+                                      (194937 * 10**35, 659925 * 10**6)])
     def test_agm_far_from_unit_scale(self, a, b):
-        # agm stops at its relative rule; E's rule is absolute in c_j, so at
-        # these scales it holds only if the iterates happen to become equal
+        # agm's mean is taken at its relative rule; the pass goes on to E's
+        # rule, whose bound on c_j scales with max(1, a_j).  The last pair's
+        # iterates settle one unit apart near 4.6e38, so c_j stays near 1e-23
+        # and would never fall below an absolute 10^(-55): the pass would not end.
         assert float(abs(agm(a, b, 50) / (a * agm(1, Fraction(b, a), 50)) - 1)) < 1e-48
 
     def test_agm_rejects_nonpositive(self):
@@ -349,6 +354,23 @@ class TestGammaQuarter:
         a = gamma_quarter(30)
         b = gamma_quarter(60)
         assert float(abs(a - b)) < 1e-28
+
+    @pytest.mark.parametrize("digits", [30, 50, 500])
+    def test_bits_of_the_agm_route(self, digits):
+        # sqrt(4 sqrt(pi) K) with K = pi/(2 agm(1, 1/sqrt2)), a route that
+        # does not go through the context: at these digits k' = k exactly, so
+        # the context's K has the same bits
+        pi_h = pi(digits)
+        bigk = pi_h / (2 * agm(1, parse_modulus(LEMNISCATIC_TOKEN, digits), digits))
+        assert gamma_quarter(digits).value == (4 * pi_h.sqrt() * bigk).sqrt().value
+
+    def test_no_agm_pass_of_its_own(self, monkeypatch):
+        lemniscatic_context(40)
+        calls = []
+        one_pass = numkernel._agm
+        monkeypatch.setattr(numkernel, "_agm", lambda *args: calls.append(args) or one_pass(*args))
+        gamma_quarter(40)
+        assert calls == []
 
 
 class TestModulusContext:
