@@ -9,7 +9,6 @@ forms at the self-dual point k = 1/sqrt(2).
 
 from thetakit import (
     agm,
-    ellipK,
     gamma_quarter,
     hpf,
     lemniscatic_context,
@@ -51,9 +50,9 @@ print("== the self-dual point k = 1/sqrt 2 ==")
 lem = lemniscatic_context(DIGITS)
 gq = gamma_quarter(DIGITS)
 closed_K = gq * gq / (pi(DIGITS).sqrt() * 4)
-print(f"K(1/sqrt 2)             = {ellipK(lem.k)}")
+print(f"K(1/sqrt 2)             = {lem.K}")
 print(f"Gamma(1/4)^2/(4 sqrt pi) = {closed_K}")
-print(f"difference               = {ellipK(lem.k) - closed_K}")
+print(f"difference               = {lem.K - closed_K}")
 # here K = K', so the nome collapses to e^-pi and the variance to 1/(4 pi)
 print(f"q at the self-dual point = {lem.q}")
 print(f"sigma^2 - 1/(4 pi)       = {lem.sigma2 - 1 / (pi(DIGITS) * 4)}")

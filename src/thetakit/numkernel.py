@@ -2,7 +2,7 @@
 
 Provides the HPFloat scalar (an immutable binary float on Python ints,
 carrying its decimal working precision), the AGM and the complete elliptic
-integrals built on it, the nome, theta series, and the per-modulus
+integrals built on it, the nome, the theta constants, and the per-modulus
 ModulusContext bundle.
 
 The number format.  An HPFloat is mantissa 2^exponent for ints mantissa and
@@ -16,34 +16,33 @@ int, a Fraction's rounded numerator and denominator, or a decimal string
 whose exponent is within +-400 are correctly rounded (an addend of more than
 prec + 4 bits can break a tie the wrong way).  Other powers truncate their
 products to prec + 4 bits(n) + 4 bits, and negative ones invert a power at
-prec + 5 bits: within an ulp.  pi, exp, log, sin and cos work in
-fixed-point ints with at least 64 guard bits and round once, so they are
-correctly rounded unless the true value lies within about 2^(-60) ulp of a
-tie.  ``to_decimal_string`` rounds half up on the first digits + 3 decimal
-digits, truncated.  There is no other arithmetic path.
+prec + 5 bits: within an ulp.  pi, exp and log work in fixed-point ints
+with at least 64 guard bits and round once, so they are correctly rounded
+unless the true value lies within about 2^(-60) ulp of a tie.
+``to_decimal_string`` rounds half up on the first digits + 3 decimal digits,
+truncated.  There is no other arithmetic path.
 
 One AGM function, ``_agm``, gives each modulus K and E from one pass: K and
 ``agm`` take its mean at 10^(1-digits), a looser rule than E's 10^(-digits-5)
 that an exact modulus (ROADMAP direction 1) retires.  Gamma(1/4) comes from
 the lemniscatic context's K, so it runs no AGM of its own.
 
-Every series in the nome (theta, the Lambert cumulants of ``cumulants``,
-the power sums behind the moment and Hermite sums of ``verify``) is one int
-dot product, ``_series_sum``, over one table type, ``_Factors``, of int
-(mantissa, exponent) pairs at a fixed relative precision of
-P = prec + _TABLE_GUARD bits, grown on demand by running int products.  A
-context keeps its tables; a bare-nome theta call builds a throwaway one.
-The one error analysis: a factor stepped n times is off by about
+Every series in the nome (the theta constants, the Lambert cumulants of
+``cumulants``, the power sums behind the moment and Hermite sums of
+``verify``) is one int dot product, ``_series_sum``, over one table type,
+``_Factors``, of int (mantissa, exponent) pairs at a fixed relative
+precision of P = prec + _TABLE_GUARD bits, grown on demand by running int
+products.  A context keeps its tables; a ``theta0`` call builds a throwaway
+one.  The one error analysis: a factor stepped n times is off by about
 n^2 2^(1-P) relative at most.  The sum takes the factors down to 2^(-prec)
 of the first over the weight bound, and shifts each once onto a scale of
 prec bits below the first factor plus the bits of the index bound, widened
 by the bits of the weight bound: times its weight, each truncation is below
 one unit of the unwidened scale, so the truncations together, like the tail,
 stay below about 2^(-prec) times the first factor.  The weights are exact
-ints (or ints over a fixed power of two), so the dot product itself is
-exact: each call returns its sum exactly and keeps the scale's precision,
-and the first HPFloat operation on the result rounds it, so the sum adds no
-rounding of its own.
+ints, so the dot product itself is exact: each call returns its sum exactly
+and keeps the scale's precision, and the first HPFloat operation on the
+result rounds it, so the sum adds no rounding of its own.
 
 This module alone turns a modulus into numbers: ``parse_modulus`` reads the
 CLI's tokens (a decimal or '1/sqrt2'), ``make_context`` takes anything it
@@ -84,14 +83,11 @@ __all__ = [
     "pi",
     "pow10",
     "agm",
-    "ellipK",
-    "ellipE",
     "LEMNISCATIC_TOKEN",
     "parse_modulus",
     "make_context",
     "dual_context",
     "lemniscatic_context",
-    "theta",
     "theta0",
     "gamma_quarter",
 ]
@@ -325,38 +321,6 @@ def _log(a, prec: int):
         term = term * square >> wp
         total, odd = total + term // odd, odd + 2
     return _round((2 * total if m >= one else -2 * total) + e * _constants(wp)[1], -wp, prec)
-
-
-def _cos_sin(a, prec: int):
-    """(cos a, sin a): a = n pi/2 + r with |r| <= pi/4, at a precision that
-    keeps prec + 64 bits of r beyond the reduction's error, and the Taylor
-    series of r."""
-    man, exp = a
-    if not man:
-        return (1, 0), (0, 0)
-    mag = max(0, abs(man).bit_length() + exp)
-    wp = prec + 64 + mag
-    while True:
-        quarter = _constants(wp)[0] >> 1
-        n, r = divmod(_fixed(a, wp) + (quarter >> 1), quarter)
-        r -= quarter >> 1
-        lost = prec + 64 + mag - abs(r).bit_length()
-        if lost <= 0:
-            break
-        wp += lost + 8
-    size = abs(r)
-    cos_r, sin_r, term, k = 1 << wp, size, size, 1
-    while term:
-        k += 1
-        term = (term * size >> wp) // k
-        if k & 1:
-            sin_r += term if k & 2 == 0 else -term
-        else:
-            cos_r += term if k & 2 == 0 else -term
-    if r < 0:
-        sin_r = -sin_r
-    cos_a, sin_a = ((cos_r, sin_r), (-sin_r, cos_r), (-cos_r, -sin_r), (sin_r, -cos_r))[n % 4]
-    return _round(cos_a, -wp, prec), _round(sin_a, -wp, prec)
 
 
 # -- decimal strings
@@ -706,19 +670,8 @@ def _complete(k: HPFloat) -> tuple[HPFloat, HPFloat, HPFloat, HPFloat]:
     return m, kprime, big_k, HPFloat(*big_e, digits)
 
 
-def ellipK(k: HPFloat) -> HPFloat:
-    """Complete elliptic integral of the first kind via pi/(2*agm(1, k'))."""
-    return _complete(k)[2]
-
-
-def ellipE(k: HPFloat) -> HPFloat:
-    """Complete elliptic integral of the second kind via the AGM companion
-    sum E = K * (1 - sum_j 2^(j-1) c_j^2), c_0 = k, c_{j+1} = (a_j - b_j)/2."""
-    return _complete(k)[3]
-
-
 # ---------------------------------------------------------------------------
-# Series in the nome: one factor table, one fixed-point loop, theta
+# Series in the nome: one factor table, one fixed-point loop, the theta constants
 # ---------------------------------------------------------------------------
 
 
@@ -792,30 +745,29 @@ def _depth(x: tuple[int, int]) -> int:
 
 
 def _series_sum(factors: _Factors, weights: Callable[[int], Iterable[int]],
-                weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0, point: int = 0):
-    """lead + sum_{n >= 1} w(n) f_n over a factor table, as an exact
+                weight_bits: Callable[[int], int] = lambda n: 0, lead: int = 0):
+    """lead + sum_{n >= 1} W_n f_n over a factor table, as an exact
     (man, exp) pair: one int dot product.
 
-    weights(count) gives the ints W_1, W_2, ... (at least count of them),
-    w(n) = W_n 2^(-point); weight_bits(n) bounds log2 |w| up to n.  The sum
-    stops after the first factor below 2^(top-prec) over the weight bound at
-    the index bound ``reach``, f_1 < 2^top, so a small weight cannot end it
-    early and the tail is of that order.  Each summed factor is truncated
-    once onto 2^(-S-B), S = prec plus the bits of ``reach`` less top, widened
-    by B = point plus that weight bound: times its |W_n| <= 2^B it is off by
-    less than a unit of 2^(-S), and the count of units below 2^(top-prec).
-    The weights multiply the shifted factors exactly, so the lead is added
-    exactly and the total is returned exactly: the sum makes no rounded
-    operation."""
+    weights(count) gives the ints W_1, W_2, ... (at least count of them);
+    weight_bits(n) bounds log2 |W| up to n.  The sum stops after the first
+    factor below 2^(top-prec) over the weight bound at the index bound
+    ``reach``, f_1 < 2^top, so a small weight cannot end it early and the
+    tail is of that order.  Each summed factor is truncated once onto
+    2^(-S-B), S = prec plus the bits of ``reach`` less top, widened by that
+    weight bound B: times its |W_n| <= 2^B it is off by less than a unit of
+    2^(-S), and the count of units below 2^(top-prec).  The weights multiply
+    the shifted factors exactly, so the lead is added exactly and the total
+    is returned exactly: the sum makes no rounded operation."""
     last = factors.reach(weight_bits)
     top = _top(factors.values[0])
     bound = weight_bits(last)
     count = factors.upto(top - factors.prec - bound)
-    scale = factors.prec + last.bit_length() - top + bound + point
+    scale = factors.prec + last.bit_length() - top + bound
     lift = max(0, factors.values[0][1] + scale)  # shift left first, then drop bits
     terms = [man << lift >> (lift - exp - scale) for man, exp in factors.values[:count]]
     total = sum(map(operator.mul, weights(count), terms))
-    return _exact(total + (lead << (scale + point)), -scale - point)
+    return _exact(total + (lead << scale), -scale)
 
 
 def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
@@ -838,41 +790,26 @@ def _gaussian_factors(q: HPFloat, half: bool = False) -> _Factors:
     return _Factors(q, (lambda n: n * n - n) if half else (lambda n: n * n - 1), fill)
 
 
-# theta index -> (half lattice, alternating sign, trigonometric factor: 0 for cos, 1 for sin)
-_THETA_SERIES = {1: (True, -1, 1), 2: (True, 1, 0), 3: (False, 1, 0), 4: (False, -1, 0)}
-
-
-def theta(i: int, zarg: Scalar, q: HPFloat) -> HPFloat:
-    """Theta function value theta_i(zarg, q) for real zarg, i in 1..4: the
-    lattice sum of sign^(n-h) q^((n-h)^2) trig((2n-2h) z), with (h, sign,
-    trig) from ``_THETA_SERIES``, by ``_series_sum`` over a throwaway table
-    with the full lattice's n = 0 term as the lead 1.  At z = 0 the weights
-    are the exact ints sign^(n-h) trig(0); elsewhere each is trig, rounded,
-    on prec fractional bits."""
-    _require_nome(q)
-    if i not in _THETA_SERIES:
-        raise DomainError("theta index must be 1, 2, 3 or 4")
-    half, sign, trig = _THETA_SERIES[i]
-    digits, prec = q.digits, _bits(q.digits)
-    z_h = zarg if isinstance(zarg, HPFloat) else hpf(zarg, digits)
-    zman, zexp = _round(*z_h.value, prec)
-    signs = (sign, 1) if half else (1, sign)  # sign^(n-h) for even and odd n
-    point = prec if zman else 0
-
-    def weights(count):
-        if not zman:  # cos 0 = 1, sin 0 = 0
-            return [signs[n % 2] * (1 - trig) for n in range(1, count + 1)]
-        return [signs[n % 2] * _fixed(_cos_sin(_round((2 * n - half) * zman, zexp, prec),
-                                               prec)[trig], prec)
-                for n in range(1, count + 1)]
-
-    total = _series_sum(_gaussian_factors(q, half), weights, lead=1 - half, point=point)
-    return HPFloat(*total, digits)
+# theta index -> (half lattice, alternating sign)
+_THETA_SERIES = {2: (True, 1), 3: (False, 1), 4: (False, -1)}
 
 
 def theta0(i: int, q: HPFloat) -> HPFloat:
-    """theta_i(0, q).  theta1 vanishes identically at 0."""
-    return theta(i, 0, q)
+    """The theta constant theta_i(0, q), i in 1..4.  theta1 vanishes at 0;
+    the others are the lattice sums of sign^n q^((n-h)^2), with (h, sign)
+    from ``_THETA_SERIES``, by ``_series_sum`` over a throwaway table with
+    the exact int weights sign^n and the full lattice's n = 0 term as the
+    lead 1."""
+    _require_nome(q)
+    if i not in (1, 2, 3, 4):
+        raise DomainError("theta index must be 1, 2, 3 or 4")
+    if i == 1:
+        return hpf(0, q.digits)
+    half, sign = _THETA_SERIES[i]
+    total = _series_sum(_gaussian_factors(q, half),
+                        lambda count: [sign ** n for n in range(1, count + 1)],
+                        lead=1 - half)
+    return HPFloat(*total, q.digits)
 
 
 # ---------------------------------------------------------------------------

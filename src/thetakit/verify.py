@@ -267,9 +267,8 @@ def verify_theorem1(n: int, ctx: ModulusContext, k_token: str = "") -> Verificat
     if n < 0:
         raise DomainError("index must be >= 0")
     lhs = hermite_weighted_series(n, ctx)
-    r_val = _moment_poly_value(n, ctx) if n else hpf(1, ctx.digits)
     ratio = ctx._once("z2/2sigma2", lambda: (ctx.z * ctx.z) / (2 * ctx.sigma2))
-    rhs = ratio ** n * r_val if n else hpf(1, ctx.digits)
+    rhs = ratio ** n * _moment_poly_value(n, ctx)
     return _report("theorem1", n, k_token or str(ctx.k), ctx.digits, lhs, rhs)
 
 

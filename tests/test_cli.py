@@ -183,6 +183,12 @@ class TestVerify:
         assert out == ""
         assert err == "error: verify romik runs only at k = 1/sqrt2\n"
 
+    def test_fixed_modulus_suite_takes_its_own_modulus(self, capsys):
+        plain = run_cli("verify", "romik", "--nmax", "3", capsys=capsys)
+        named = run_cli("verify", "romik", "--nmax", "3", "--k", "1/sqrt2", capsys=capsys)
+        assert named == plain
+        assert named[0] == 0 and named[2] == ""
+
     def test_json_report_stream(self, capsys):
         code, out, _ = run_cli(
             "verify", "romik", "--nmax", "2", "--format", "json", capsys=capsys

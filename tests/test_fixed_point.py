@@ -127,22 +127,22 @@ class TestDotProductAgainstExactSum:
     @settings(max_examples=40, deadline=None)
     @given(numerator=st.integers(1, 900), tiny=st.integers(0, 30), table=st.sampled_from(
                (_power_factors, _gaussian_factors, lambda q: _gaussian_factors(q, True))),
-           digits=st.integers(15, 600), bound=st.integers(0, 128), point=st.integers(0, 64),
-           lead=st.integers(-3, 3), seed=st.integers(0, 2 ** 32))
-    def test_within_stated_bound(self, numerator, tiny, table, digits, bound, point, lead, seed):
+           digits=st.integers(15, 600), bound=st.integers(0, 128), lead=st.integers(-3, 3),
+           seed=st.integers(0, 2 ** 32))
+    def test_within_stated_bound(self, numerator, tiny, table, digits, bound, lead, seed):
         q = hpf(Fraction(numerator, 1000 * 10 ** tiny), digits)
         factors = table(q)
         draw, weights = random.Random(seed), []
 
         def weight_ints(count):
-            # |w| = |W| 2^(-point) < 2^bound, of any sign
-            limit = 1 << (bound + point)
+            # |W| < 2^bound, of any sign
+            limit = 1 << bound
             weights.extend(draw.randrange(-limit + 1, limit) for _ in range(count - len(weights)))
             return weights
 
-        man, exp = _series_sum(factors, weight_ints, lambda n: bound, lead, point)
+        man, exp = _series_sum(factors, weight_ints, lambda n: bound, lead)
         count = len(weights)
-        exact = lead + sum(Fraction(w * f_man) * Fraction(2) ** (f_exp - point)
+        exact = lead + sum(Fraction(w * f_man) * Fraction(2) ** f_exp
                            for w, (f_man, f_exp) in zip(weights, factors.values[:count]))
         first_man, first_exp = factors.values[0]
         top = first_exp + first_man.bit_length()

@@ -25,8 +25,6 @@ from thetakit.numkernel import (
     ModulusContext,
     agm,
     dual_context,
-    ellipE,
-    ellipK,
     gamma_quarter,
     hpf,
     lemniscatic_context,
@@ -34,7 +32,6 @@ from thetakit.numkernel import (
     parse_modulus,
     pi,
     pow10,
-    theta,
     theta0,
 )
 from thetakit.verify import _hermite_coefficients, _hermite_scaled, verify_jacobi_transform
@@ -61,6 +58,39 @@ THETA3_Z04_Q02 = "1.278588490163252476537224866435662413198073171049887486"
 Z_LEMN = "1.180340599016096226045337940558488587233716634881447"
 SIGMA2_LEMN = "0.079577471545947667884441881686257181017229822870228224374"
 Q_03 = "0.0058941444342690817285436195419755298929198393028021"
+# theta0(i, q).value for i = 2, 3, 4: the exact lattice sums, bit for bit
+THETA0_BITS = {
+    ("1e-4", 20): [
+        (8112963922590306584185590323159, -105),
+        (332373460346018280480996744668893805, -118),
+        (332240537546439788893706363962865773, -118),
+    ],
+    ("0.3", 20): [
+        (65490291857913460758536464918309, -105),
+        (131124916053519878364314692842877, -106),
+        (8440740614318176357174458962041, -104),
+    ],
+    ("0.95", 20): [
+        (2539710248466263451277104630233649, -108),
+        (2539710248466263451277104630233651, -108),
+        (1631360965481, -106),
+    ],
+    ("1e-4", 50): [
+        (20568807172203145192087890620144995647028538380397082269902923, -206),
+        (52666677063445459598857972500322253099794497245415029125708487615, -215),
+        (210582458420446992646073555579142075210824539556882183630486280207, -217),
+    ],
+    ("0.3", 50): [
+        (332075231131223693572844836084667600618869782065804645252989711, -207),
+        (664882314160482668130603323440840452677405550550915783970624845, -208),
+        (171198558497779680458764312643146026215930402711544616638265867, -208),
+    ],
+    ("0.95", 50): [
+        (3219465220874044493751991148109819520842706336168556528714165483, -208),
+        (3219465220874044493751991148109819520842706336168556528714165483, -208),
+        (129249731692562148226312160211378204206251, -202),
+    ],
+}
 
 
 def assert_close(value: HPFloat, literal: str, tol_exp: int = -45) -> None:
@@ -180,48 +210,48 @@ class TestAgmAndElliptic:
             agm(-2, 1, 30)
 
     def test_K_oracles(self):
-        assert_close(ellipK(hpf("0.6", 50)), K_06)
-        assert_close(ellipK(hpf("0.3", 50)), K_03)
-        assert_close(ellipK(hpf("0.9", 50)), K_09)
+        assert_close(make_context("0.6", 50).K, K_06)
+        assert_close(make_context("0.3", 50).K, K_03)
+        assert_close(make_context("0.9", 50).K, K_09)
 
     def test_E_oracles(self):
-        assert_close(ellipE(hpf("0.6", 50)), E_06)
+        assert_close(make_context("0.6", 50).E, E_06)
 
     def test_lemniscatic_K_and_E(self):
-        k = hpf(1, 50) / hpf(2, 50).sqrt()
-        assert_close(ellipK(k), K_LEMN)
-        assert_close(ellipE(k), E_LEMN)
+        ctx = lemniscatic_context(50)
+        assert_close(ctx.K, K_LEMN)
+        assert_close(ctx.E, E_LEMN)
 
     @pytest.mark.parametrize("digits", [20, 50])
     @pytest.mark.parametrize("token", ["0.3", "1/sqrt2", "0.9"])
     def test_context_integrals_match_public_functions(self, token, digits):
+        # K = pi/(2 agm(1, sqrt(1 - k^2))) for k and for k', bit for bit,
+        # and the dual context holds E' as its own E
         ctx = make_context(token, digits)
-        for k, big_k, big_e in ((ctx.k, ctx.K, ctx.E), (ctx.kprime, ctx.Kprime, ctx.Eprime)):
-            assert ellipK(k).value == big_k.value
-            assert ellipE(k).value == big_e.value
+        pi_h = pi(digits)
+        for k, big_k in ((ctx.k, ctx.K), (ctx.kprime, ctx.Kprime)):
+            assert big_k.value == (pi_h / (2 * agm(1, (1 - k * k).sqrt(), digits))).value
+        assert dual_context(ctx).E.value == ctx.Eprime.value
 
     def test_series_route_agrees_with_agm(self):
         for tok in ("0.3", "0.6"):
-            k = hpf(tok, 30)
-            assert float(abs(ellipK_series(k) - ellipK(k))) < 1e-27
+            ctx = make_context(tok, 30)
+            assert float(abs(ellipK_series(ctx.k) - ctx.K)) < 1e-27
 
     def test_modulus_domain(self):
         for bad in (hpf(1, 30), hpf(0, 30), hpf(2, 30), hpf(-1, 30) / 2):
             with pytest.raises(DomainError):
-                ellipK(bad)
-        with pytest.raises(DomainError):
-            ellipE(hpf(1, 30))
+                make_context(bad, 30)
 
     def test_legendre_identity(self):
         # K E' + K' E - K K' = pi/2
-        k = hpf("0.6", 50)
-        kp = (1 - k ** 2).sqrt()
-        res = ellipK(k) * ellipE(kp) + ellipK(kp) * ellipE(k) - ellipK(k) * ellipK(kp) - pi(50) / 2
+        ctx = make_context("0.6", 50)
+        res = ctx.K * ctx.Eprime + ctx.Kprime * ctx.E - ctx.K * ctx.Kprime - pi(50) / 2
         assert float(abs(res)) < 1e-47
 
     def test_precision_scaling(self):
-        coarse = ellipK(hpf("0.6", 20))
-        fine = ellipK(hpf("0.6", 60))
+        coarse = make_context("0.6", 20).K
+        fine = make_context("0.6", 60).K
         assert float(abs(coarse - fine)) < 1e-18
 
 
@@ -235,8 +265,14 @@ class TestTheta:
 
     def test_theta_with_argument(self):
         q = hpf("0.2", 50)
-        assert_close(theta(1, "0.4", q), THETA1_Z04_Q02)
-        assert_close(theta(3, "0.4", q), THETA3_Z04_Q02)
+        assert_close(_theta_at(1, hpf("0.4", 50), q), THETA1_Z04_Q02)
+        assert_close(_theta_at(3, hpf("0.4", 50), q), THETA3_Z04_Q02)
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    @pytest.mark.parametrize("q", ["1e-4", "0.3", "0.95"])
+    def test_theta0_bits_kept(self, q, digits):
+        got = [theta0(i, hpf(q, digits)).value for i in (2, 3, 4)]
+        assert got == THETA0_BITS[q, digits]
 
     def test_theta_at_exp_minus_pi(self):
         q = (-pi(50)).exp()
@@ -268,9 +304,30 @@ class TestTheta:
             theta0(context_bad := 5, hpf("0.1", 30))  # noqa: F841
 
 
+def _theta_at(i: int, z: HPFloat, q: HPFloat) -> HPFloat:
+    """theta_i(z, q) for real z by the kernel's one series sum over its
+    Gaussian table, the lattice sum of sign^(n-h) q^((n-h)^2) trig((2n-2h) z)
+    that theta0 takes at z = 0.  The weights are trig, times sign^(n-h), from
+    mpmath, rounded on prec fractional bits, so the sum runs with a weight
+    bound of prec bits where theta0's is 0."""
+    half, sign, trig = {1: (1, -1, mp.sin), 2: (1, 1, mp.cos),
+                        3: (0, 1, mp.cos), 4: (0, -1, mp.cos)}[i]
+    prec = numkernel._bits(q.digits)
+
+    def weights(count):
+        with mp.workprec(2 * prec + 64):
+            return [int(mp.nint(sign ** (n - half) * trig((2 * n - half) * to_mpf(z)) * 2 ** prec))
+                    for n in range(1, count + 1)]
+
+    man, exp = numkernel._series_sum(numkernel._gaussian_factors(q, bool(half)), weights,
+                                     lambda n: prec, (1 - half) << prec)
+    return HPFloat(man, exp - prec, q.digits)
+
+
 # theta_i(z, q) against mpmath's jtheta at digits + 60 (an oracle the kernel
-# never calls).  theta4 near q = 1 is tiny and its alternating series cancels,
-# so four points miss the 10^(2 - digits) relative bound.
+# never calls): theta0 at z = 0, ``_theta_at`` elsewhere.  theta4 near q = 1
+# is tiny and its alternating series cancels, so four points miss the
+# 10^(2 - digits) relative bound.
 SWEEP_Q = ("1e-30", "1e-4", "0.01", "0.1", "0.3", "0.5", "0.8", "0.95")
 THETA4_CANCELS = {("0", 20), ("0", 30), ("0", 50), ("0", 137)}
 
@@ -293,7 +350,7 @@ class TestThetaSweep:
     @pytest.mark.parametrize("i, z, q, digits", _sweep_cases())
     def test_against_jtheta(self, i, z, q, digits):
         q_h, z_h = hpf(q, digits), hpf(z, digits)
-        got = to_mpf(theta(i, z_h, q_h))
+        got = to_mpf(theta0(i, q_h) if z == "0" else _theta_at(i, z_h, q_h))
         if i == 1 and z == "0":
             assert got == 0
             return
@@ -381,7 +438,6 @@ class TestModulusContext:
         assert float(abs(ctx.q - (-(pi(40) * ctx.c)).exp())) < 1e-37
         # z = theta3(q)^2 = (2/pi) K
         assert float(abs(ctx.z - theta0(3, ctx.q) ** 2)) < 1e-36
-        assert float(abs(ctx.z - ellipK(ctx.k) * 2 / pi(40))) < 1e-36
         # sigma^2 = (K^2/pi^2)(E/K - kprime^2)
         sig = (ctx.K / pi(40)) ** 2 * (ctx.E / ctx.K - ctx.kprime ** 2)
         assert float(abs(ctx.sigma2 - sig)) < 1e-36
@@ -454,12 +510,12 @@ class TestFirstUse:
     @pytest.mark.parametrize("expr", [
         'hpf("0.5", 20).sqrt()',
         "pi(20)",
-        'theta(1, "0.4", hpf("0.1", 20))',
+        'theta0(2, hpf("0.1", 20))',
         'make_context("0.3", 20).q',
         "gamma_quarter(20)",
     ])
     def test_entry_point_in_a_fresh_process(self, expr):
-        names = ("gamma_quarter", "hpf", "make_context", "pi", "theta")
+        names = ("gamma_quarter", "hpf", "make_context", "pi", "theta0")
         code = f"from thetakit.numkernel import {', '.join(names)}\nprint({expr})\n"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
@@ -567,8 +623,6 @@ class TestArithmeticAgainstMpmath:
 TRANSCENDENTAL = {
     "exp": (numkernel._exp, mp.exp),
     "log": (numkernel._log, mp.log),
-    "cos": (lambda a, prec: numkernel._cos_sin(a, prec)[0], mp.cos),
-    "sin": (lambda a, prec: numkernel._cos_sin(a, prec)[1], mp.sin),
 }
 SWEEP_DIGITS = (15, 20, 30, 50, 137, 500, 1000)
 SWEEP_ARGUMENTS = (
@@ -604,14 +658,11 @@ class TestTranscendentalAgainstMpmath:
 
     @pytest.mark.parametrize("digits", (20, 50, 500))
     def test_near_one_and_near_zeros(self, digits):
-        # log near 1 and cos, sin near their zeros keep their relative precision
+        # log near 1, its zero, keeps its relative precision
         prec = numkernel._bits(digits)
         for text in ("1.000000000000000000000000000001", "0.99999999999999999999"):
             a = hpf(text, digits).value
             assert numkernel._log(a, prec) == _oracle(digits, mp.log, to_mpf(a))
-        for a in (numkernel._pi(prec), (numkernel._pi(prec)[0], numkernel._pi(prec)[1] - 1)):
-            assert numkernel._cos_sin(a, prec) == (
-                _oracle(digits, mp.cos, to_mpf(a)), _oracle(digits, mp.sin, to_mpf(a)))
 
 
 NSTR_VALUES = (
